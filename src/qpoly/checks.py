@@ -22,9 +22,7 @@ from .laurent import LaurentPoly
 from .matroid import bond_matroid, cycle_matroid, satisfies_rank_axioms
 from .quasitrees import (
     activities,
-    expansion_br,
     expansion_krushkal,
-    expansion_lv,
     quasi_tree_masks,
     resolution_tree,
 )
@@ -43,30 +41,19 @@ def _component_order(order, comp):
 
 
 def _quasitree_polynomial(emb, order, kind):
-    """Per-component expansion product for one polynomial kind."""
-    if kind is PolyKind.BR:
-        total = LaurentPoly.one()
-        for comp in emb.ribbon_subgraph().split_components():
-            total = total * expansion_br(comp, _component_order(order, comp))
-        return total
-    if not emb.is_cellular:
+    """Per-component product of the Krushkal expansion, specialized to
+    one polynomial kind.  BR expands the marked subgraph as a cellulation
+    of its own; the other kinds need a cellular embedding."""
+    if kind is not PolyKind.BR and not emb.is_cellular:
         raise RibbonError(
             "the quasi-tree route to %s needs a cellular embedding; for the "
             "marked subgraph, feed it as a document of its own" % kind.value)
     total = LaurentPoly.one()
-    for comp in emb.cellulation.split_components():
-        sub = _component_order(order, comp)
-        if kind is PolyKind.KRUSHKAL:
-            part = expansion_krushkal(comp, sub)
-        elif kind is PolyKind.TUTTE:
-            _, _, delta = EmbeddedGraph(comp).surface_invariants()
-            part = specialize(expansion_krushkal(comp, sub), PolyKind.TUTTE,
-                              delta=delta)
-        elif kind is PolyKind.LV:
-            part = expansion_lv(comp, sub)
-        else:
-            raise ValueError("unknown polynomial kind %r" % kind)
-        total = total * part
+    for comp in emb.ribbon_subgraph().split_components():
+        # s(E) = 2c - v + e - bc(E) = 2c - chi, the delta of the surface
+        s = comp.genus_s()
+        part = expansion_krushkal(comp, _component_order(order, comp))
+        total = total * specialize(part, kind, delta=s, s=s)
     return total
 
 
@@ -177,6 +164,8 @@ def _check_partial_dual_counts(emb, order):
 def _check_partial_dual_composition(emb, order):
     g = emb.cellulation
     e = g.n_edges
+    if e > 16:
+        return ("SKIP", "more than 16 edges")
     full = g.full_mask
     if e <= 5:
         pairs = [(a, b) for a in _all_masks(g) for b in _all_masks(g)]

@@ -92,8 +92,12 @@ def _cmd_dual(args):
 
 
 def _cmd_random(args):
-    g = random_graph(args.vertices, args.edges, Fraction(args.twist),
-                     seed=args.seed)
+    try:
+        twist = Fraction(args.twist)
+    except ZeroDivisionError:
+        raise ValueError("twist probability %s has a zero denominator"
+                         % args.twist) from None
+    g = random_graph(args.vertices, args.edges, twist, seed=args.seed)
     sys.stdout.write(serialize(g))
     return 0
 
@@ -145,7 +149,7 @@ def main(argv=None):
     except ParseError as exc:
         print("qp: parse error: %s" % exc, file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("qp: cannot read input: %s" % exc, file=sys.stderr)
         return 1
     except (RibbonError, ValueError) as exc:

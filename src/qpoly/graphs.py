@@ -69,8 +69,14 @@ class MultiGraph:
             return mask
         return self.edge_mask(mask)
 
-    def components(self, mask=None):
-        """Connected components of the spanning subgraph on the given edges."""
+    def components(self, mask=None, labels=False):
+        """Connected components of the spanning subgraph on the given edges.
+
+        With labels=True, the component index of every vertex instead,
+        components numbered in the order of their first vertex.  This is
+        the package's one union-find: RibbonGraph shares the method, since
+        both classes keep the vertex pair of edge i in _ends[i].
+        """
         mask = self._norm_mask(mask)
         parent = list(range(len(self.vertices)))
 
@@ -80,15 +86,19 @@ class MultiGraph:
                 x = parent[x]
             return x
 
+        ends = self._ends
         m = mask
         while m:
             ei = (m & -m).bit_length() - 1
             m &= m - 1
-            a, b = self._ends[ei]
+            a, b = ends[ei]
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
-        return sum(1 for i, p in enumerate(parent) if find(i) == i)
+        if not labels:
+            return sum(1 for i, p in enumerate(parent) if p == i)
+        index = {}
+        return [index.setdefault(find(v), len(index)) for v in range(len(parent))]
 
     def nullity(self, mask=None):
         """Cycle-space dimension e(F) - v + c(F) of the spanning subgraph."""

@@ -14,10 +14,7 @@ from .graphs import MultiGraph
 __all__ = [
     "RankFunction",
     "cycle_matroid",
-    "cycle_rank",
     "bond_matroid",
-    "dual_rank",
-    "nullity_of",
     "satisfies_rank_axioms",
 ]
 
@@ -93,18 +90,6 @@ def cycle_matroid(g):
 def bond_matroid(g):
     """B(g), the dual of the cycle matroid."""
     return cycle_matroid(g).dual()
-
-
-def cycle_rank(g, subset):
-    return cycle_matroid(g).rank(subset)
-
-
-def dual_rank(r, subset):
-    return r.dual().rank(subset)
-
-
-def nullity_of(r, subset):
-    return r.nullity(subset)
 
 
 def satisfies_rank_axioms(r):

@@ -1,6 +1,5 @@
 """Quasi-trees, activity partitions, the resolution tree, and the
-quasi-tree expansions of the Krushkal, Bollobas-Riordan, and Las Vergnas
-polynomials.
+quasi-tree expansion of the Krushkal polynomial with its specializations.
 
 A quasi-tree of a connected ribbon graph is a spanning subgraph whose
 ribbon neighbourhood has exactly one boundary circle.  Taking the partial
@@ -10,16 +9,20 @@ everything else.  An edge is live when no lower-ordered edge interleaves
 with it in the word, and orientable when its loop in the partial dual is
 untwisted.  Crossing liveness with internal/external and orientability
 splits E(G) into six classes, and the subsets VI(Q) union S over choices
-S of live orientable edges partition all 2^e spanning subgraphs.  The
-expansions below sum one closed-form term per quasi-tree and must agree
-with the subset-sum oracles in invariants coefficient for coefficient.
+S of live orientable edges partition all 2^e spanning subgraphs.
+
+expansion_krushkal sums one closed-form term per quasi-tree.  The
+Bollobas-Riordan and Las Vergnas expansions are its images under the
+specialization maps of invariants, so there is one per-quasi-tree sum;
+all of them must agree with the subset-sum oracles in invariants
+coefficient for coefficient.
 """
 
 from __future__ import annotations
 
 from .graphs import MultiGraph
-from .invariants import tutte
-from .laurent import HalfExp, LaurentPoly
+from .invariants import PolyKind, specialize, tutte
+from .laurent import LaurentPoly
 from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, SpanningSubgraph
 
 __all__ = [
@@ -30,11 +33,9 @@ __all__ = [
     "quasi_tree_masks",
     "quasi_trees",
     "one_vertex_word",
-    "links",
     "activities",
     "resolution_tree",
     "quasi_tree_partition",
-    "subgraph_to_quasitree",
     "build_minor_graphs",
     "expansion_krushkal",
     "expansion_br",
@@ -84,10 +85,6 @@ class VertexWord:
     def __repr__(self):
         bits = ["%s%s%s" % (l, e, "'" if s < 0 else "") for l, e, s in self.tokens]
         return "<VertexWord %s>" % " ".join(bits)
-
-
-def links(word, e, f):
-    return word.links(e, f)
 
 
 def quasi_tree_masks(g):
@@ -175,7 +172,14 @@ def activities(g, order, q, word=None):
     mask = g._norm_mask(q)
     if word is None:
         word = one_vertex_word(g, mask)
-    rank = {label: i for i, label in enumerate(order)}
+    return _classify(g, _ranks(order), mask, word)
+
+
+def _ranks(order):
+    return {label: i for i, label in enumerate(order)}
+
+
+def _classify(g, rank, mask, word):
     sets = {k: [] for k in ("di", "i_o", "i_n", "de", "e_o", "e_n")}
     for label in g.edge_labels:
         live = not any(word.links(label, f) for f in g.edge_labels
@@ -188,6 +192,13 @@ def activities(g, order, q, word=None):
         else:
             sets["i_n" if internal else "e_n"].append(label)
     return ActivityPartition(**sets)
+
+
+def _each_quasi_tree(g, order):
+    """(Q mask, activities) for every quasi-tree, checking the order once."""
+    rank = _ranks(_check_order(g, order))
+    for qmask in quasi_tree_masks(g):
+        yield qmask, _classify(g, rank, qmask, one_vertex_word(g, qmask))
 
 
 # ----------------------------------------------------------------------
@@ -298,11 +309,8 @@ def quasi_tree_partition(g, order=None):
     subset of the live orientable edges of Q.  The map being total and
     single-valued is the partition theorem; violations raise.
     """
-    order = _check_order(g, order)
     table = {}
-    for qmask in quasi_tree_masks(g):
-        word = one_vertex_word(g, qmask)
-        ap = activities(g, order, qmask, word)
+    for qmask, ap in _each_quasi_tree(g, order):
         vi = g.edge_mask(ap.vi)
         free = sorted(g._edge_index[label] for label in (ap.i_o | ap.e_o))
         for pick in range(1 << len(free)):
@@ -321,14 +329,6 @@ def quasi_tree_partition(g, order=None):
     return table
 
 
-def subgraph_to_quasitree(g, order, f):
-    """The unique (Q, S) with F = VI(Q) union S, S live orientable."""
-    fmask = g._norm_mask(f)
-    table = quasi_tree_partition(g, order)
-    qmask, smask = table[fmask]
-    return SpanningSubgraph(g, qmask), frozenset(g.mask_labels(smask))
-
-
 # ----------------------------------------------------------------------
 # minor graphs and the expansions
 
@@ -336,41 +336,19 @@ def subgraph_to_quasitree(g, order, f):
 def _contracted_multigraph(graph, base_mask, edge_labels):
     """The ordinary graph on the components of base_mask, with the given
     edges of `graph` re-attached to the components of their endpoints."""
-    nv = graph.n_vertices
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    m = base_mask
-    while m:
-        ei = (m & -m).bit_length() - 1
-        m &= m - 1
-        a, b = find(graph._vertex_of[2 * ei]), find(graph._vertex_of[2 * ei + 1])
-        if a != b:
-            parent[a] = b
-    comp_id = {}
-    for vi in range(nv):
-        root = find(vi)
-        if root not in comp_id:
-            comp_id[root] = len(comp_id)
-    names = ["c%d" % i for i in range(len(comp_id))]
+    comp = graph.components(base_mask, labels=True)
+    names = ["c%d" % i for i in range(max(comp, default=-1) + 1)]
     eds = []
     for label in sorted(edge_labels, key=graph._edge_index.get):
-        ei = graph._edge_index[label]
-        u = comp_id[find(graph._vertex_of[2 * ei])]
-        w = comp_id[find(graph._vertex_of[2 * ei + 1])]
-        eds.append((label, names[u], names[w]))
+        a, b = graph._ends[graph._edge_index[label]]
+        eds.append((label, names[comp[a]], names[comp[b]]))
     return MultiGraph(names, eds)
 
 
 def build_minor_graphs(g, order, q, dual=None, ap=None):
     """(G_Q, G*_Q*): vertices are the components of F_VI (resp. R_VE in
-    the dual), edges the live orientable internal (resp. external) ones."""
-    order = _check_order(g, order)
+    the dual), edges the live orientable internal (resp. external) ones.
+    order is only read when ap, the activities of q, is not given."""
     if ap is None:
         ap = activities(g, order, q)
     if dual is None:
@@ -380,11 +358,15 @@ def build_minor_graphs(g, order, q, dual=None, ap=None):
     return gq, gstar
 
 
-def _each_quasi_tree(g, order):
-    order = _check_order(g, order)
-    for qmask in quasi_tree_masks(g):
-        word = one_vertex_word(g, qmask)
-        yield qmask, activities(g, order, qmask, word)
+def _substituted_tutte(memo, graph, bindings):
+    """tutte(graph).substitute(bindings), memoized on the exact structure
+    of the graph: the Tutte polynomial does not read the edge labels, and
+    the minors of different quasi-trees often coincide."""
+    key = (graph.n_vertices, graph._ends)
+    poly = memo.get(key)
+    if poly is None:
+        poly = memo[key] = tutte(graph).substitute(bindings)
+    return poly
 
 
 def expansion_krushkal(emb, order=None):
@@ -400,71 +382,51 @@ def expansion_krushkal(emb, order=None):
         raise RibbonError("the Krushkal expansion needs a cellular embedding")
     g = emb.cellulation
     d = emb.dual_cellulation
-    total = LaurentPoly.zero()
     var = LaurentPoly.variable
+    inner = {"Y": var("A")}
+    outer = {"X": var("Y"), "Y": var("B")}
+    memo_in, memo_out = {}, {}
+    acc = {}
     for qmask, ap in _each_quasi_tree(g, order):
-        gq = _contracted_multigraph(g, g.edge_mask(ap.vi), ap.i_o)
-        gstar = _contracted_multigraph(d, d.edge_mask(ap.ve), ap.e_o)
-        t_in = tutte(gq).substitute({"Y": var("A")})
-        t_out = tutte(gstar).substitute({"X": var("Y"), "Y": var("B")})
+        gq, gstar = build_minor_graphs(g, order, qmask, d, ap)
+        t_in = _substituted_tutte(memo_in, gq, inner)
+        t_out = _substituted_tutte(memo_out, gstar, outer)
+        # A^(s/2) and B^(s/2) shift the doubled A and B exponents by s
         s_vi = g.genus_s(g.edge_mask(ap.vi))
         s_ve = d.genus_s(d.edge_mask(ap.ve))
-        total = total + (t_in * t_out
-                         * LaurentPoly.term(A=HalfExp(s_vi))
-                         * LaurentPoly.term(B=HalfExp(s_ve)))
-    return total
+        for (x, y, a, b, z), c in (t_in * t_out).items_doubled():
+            key = (x, y, a + s_vi, b + s_ve, z)
+            acc[key] = acc.get(key, 0) + c
+    return LaurentPoly(acc)
 
 
 def expansion_br(g, order=None):
     """Quasi-tree expansion of the Bollobas-Riordan polynomial.
 
-    Sum over quasi-trees of
-    Y^(n(F_VI)) Z^(s(F_VI)) (1+Y)^|E_o| T_{G_Q}(X, Y Z^2).
-    Works for any connected ribbon graph.
+    The Krushkal expansion of g, taken as its own cellulation, under the
+    specialization Y^(s/2) K(X, Y, Y Z^2, Y^-1).  Works for any connected
+    ribbon graph.
     """
     if isinstance(g, EmbeddedGraph):
         if not g.is_cellular:
             raise RibbonError("pass the marked ribbon subgraph itself for "
                               "non-cellular embeddings")
         g = g.cellulation
-    one_plus_y = 1 + LaurentPoly.variable("Y")
-    total = LaurentPoly.zero()
-    for qmask, ap in _each_quasi_tree(g, order):
-        vi_mask = g.edge_mask(ap.vi)
-        gq = _contracted_multigraph(g, vi_mask, ap.i_o)
-        t_in = tutte(gq).substitute({"Y": LaurentPoly.term(Y=1, Z=2)})
-        head = LaurentPoly.term(Y=g.nullity(vi_mask), Z=g.genus_s(vi_mask))
-        total = total + head * one_plus_y ** len(ap.e_o) * t_in
-    return total
+    return specialize(expansion_krushkal(g, order), PolyKind.BR,
+                      s=g.genus_s())
 
 
 def expansion_lv(emb, order=None):
     """Quasi-tree expansion of the Las Vergnas polynomial.
 
-    Sum over quasi-trees of
-    T_{G_Q}(X-1, Z^-1) T_{G*_Q*}(Y-1, Z) Z^((delta - s(F_VI) + s(R_VE))/2),
-    the term-by-term image of the Krushkal expansion under the map that
-    carries the Krushkal polynomial to the Las Vergnas one.  Needs a
-    connected cellular embedding.
+    The Krushkal expansion under the specialization
+    Z^(delta/2) K(X-1, Y-1, Z^-1, Z).  Needs a connected cellular
+    embedding.
     """
     if isinstance(emb, RibbonGraph):
         emb = EmbeddedGraph(emb)
     if not emb.is_cellular:
         raise RibbonError("the Las Vergnas expansion needs a cellular embedding")
-    g = emb.cellulation
-    d = emb.dual_cellulation
     _, _, delta = emb.surface_invariants()
-    total = LaurentPoly.zero()
-    var = LaurentPoly.variable
-    for qmask, ap in _each_quasi_tree(g, order):
-        gq = _contracted_multigraph(g, g.edge_mask(ap.vi), ap.i_o)
-        gstar = _contracted_multigraph(d, d.edge_mask(ap.ve), ap.e_o)
-        t_in = tutte(gq).substitute({"X": var("X") - 1,
-                                     "Y": LaurentPoly.term(Z=-1)})
-        t_out = tutte(gstar).substitute({"X": var("Y") - 1,
-                                         "Y": var("Z")})
-        s_vi = g.genus_s(g.edge_mask(ap.vi))
-        s_ve = d.genus_s(d.edge_mask(ap.ve))
-        zfac = LaurentPoly.term(Z=HalfExp(delta - s_vi + s_ve))
-        total = total + t_in * t_out * zfac
-    return total
+    return specialize(expansion_krushkal(emb, order), PolyKind.LV,
+                      delta=delta)

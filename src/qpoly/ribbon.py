@@ -141,6 +141,7 @@ class RibbonGraph:
             raise RibbonError("half-edge %r is missing from the vertex rotations" % missing)
         self._rot_idx = tuple(rot_idx)
         self._vertex_of = tuple(self._vertex_of)
+        self._ends = tuple(zip(self._vertex_of[0::2], self._vertex_of[1::2]))
 
         # precomputed pieces of the equality relation
         self._edge_map = {label: (frozenset(pair), sign)
@@ -222,23 +223,7 @@ class RibbonGraph:
     # ------------------------------------------------------------------
     # subgraph invariants
 
-    def components(self, edges=None):
-        """Connected components of the spanning subgraph (all vertices)."""
-        mask = self._norm_mask(edges)
-        parent = list(range(len(self.vertices)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for ei in _iter_bits(mask):
-            a = find(self._vertex_of[2 * ei])
-            b = find(self._vertex_of[2 * ei + 1])
-            if a != b:
-                parent[a] = b
-        return sum(1 for i in range(len(parent)) if find(i) == i)
+    components = MultiGraph.components
 
     def boundary_components(self, edges=None):
         """Boundary circles of the ribbon neighbourhood of the subgraph.
@@ -535,31 +520,15 @@ class RibbonGraph:
     def split_components(self):
         """The connected components, each as its own RibbonGraph, ordered
         by first vertex."""
-        nv = len(self.vertices)
-        parent = list(range(nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for ei in range(len(self.edges)):
-            a = find(self._vertex_of[2 * ei])
-            b = find(self._vertex_of[2 * ei + 1])
-            if a != b:
-                parent[a] = b
-        groups = {}
-        for vi in range(nv):
-            groups.setdefault(find(vi), []).append(vi)
-        out = []
-        for root in sorted(groups, key=lambda r: min(groups[r])):
-            vset = set(groups[root])
-            verts = [self.vertices[vi] for vi in sorted(vset)]
-            eds = [e for ei, e in enumerate(self.edges)
-                   if self._vertex_of[2 * ei] in vset]
-            out.append(RibbonGraph(verts, eds))
-        return out
+        comp = self.components(labels=True)
+        n = max(comp, default=-1) + 1
+        verts = [[] for _ in range(n)]
+        eds = [[] for _ in range(n)]
+        for vertex, c in zip(self.vertices, comp):
+            verts[c].append(vertex)
+        for edge, (a, _) in zip(self.edges, self._ends):
+            eds[comp[a]].append(edge)
+        return [RibbonGraph(v, e) for v, e in zip(verts, eds)]
 
     # ------------------------------------------------------------------
     # flip canonicalization

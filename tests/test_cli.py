@@ -1,12 +1,14 @@
 import io
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from qpoly import checks as checks_mod
 from qpoly.cli import main
-from qpoly.textio import parse, serialize
+from qpoly.ribbon import EmbeddedGraph
+from qpoly.textio import parse, random_graph, serialize
 
 from fixture_graphs import FIXTURES, t1
 
@@ -122,6 +124,15 @@ def test_check_skips_on_marked_subset(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_check_battery_completes_above_16_edges():
+    emb = EmbeddedGraph(random_graph(5, 17, Fraction(3, 10), seed=8))
+    results = checks_mod.run_checks(emb, emb.cellulation.edge_labels)
+    assert len(results) == len(checks_mod.CHECKS)
+    assert all(status != "FAIL" for _, status, _ in results)
+    assert ("partial-dual-composition", "SKIP",
+            "more than 16 edges") in results
+
+
 def test_quasitrees_t1(tmp_path, capsys):
     path = write_doc(tmp_path, T1_DOC)
     code, out, _ = run_cli(capsys, "quasitrees", "-i", path)
@@ -218,6 +229,21 @@ def test_random_infeasible(capsys):
 def test_random_bad_probability(capsys):
     code, _, err = run_cli(capsys, "random", "-v", "2", "-e", "2", "-t", "huh")
     assert code == 2 and err != ""
+
+
+def test_random_zero_denominator(capsys):
+    code, out, err = run_cli(capsys, "random", "-v", "2", "-e", "2",
+                             "-t", "1/0")
+    assert code == 2 and out == ""
+    assert err.startswith("qp: ") and len(err.splitlines()) == 1
+
+
+def test_undecodable_input_exit_code(tmp_path, capsys):
+    p = tmp_path / "g.txt"
+    p.write_bytes(b"vertex v: a1 a2\nedge e1: a1 a2 \xff\n")
+    code, _, err = run_cli(capsys, "compute", "-i", str(p),
+                           "-p", "tutte", "-m", "brute")
+    assert code == 1 and "cannot read" in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

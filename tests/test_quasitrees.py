@@ -13,13 +13,11 @@ from qpoly.quasitrees import (
     expansion_br,
     expansion_krushkal,
     expansion_lv,
-    links,
     one_vertex_word,
     quasi_tree_masks,
     quasi_tree_partition,
     quasi_trees,
     resolution_tree,
-    subgraph_to_quasitree,
 )
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 
@@ -93,9 +91,9 @@ def test_one_vertex_word_rejects_non_quasi_tree():
 
 
 def test_links_patterns():
-    assert links(word_of(["a", "b", "a", "b"]), "a", "b") is True
-    assert links(word_of(["a", "a", "b", "b"]), "a", "b") is False
-    assert links(word_of(["a", "b", "b", "a"]), "a", "b") is False
+    assert word_of(["a", "b", "a", "b"]).links("a", "b") is True
+    assert word_of(["a", "a", "b", "b"]).links("a", "b") is False
+    assert word_of(["a", "b", "b", "a"]).links("a", "b") is False
     with pytest.raises(ValueError):
         word_of(["a", "b", "a", "b"]).links("a", "a")
 
@@ -238,12 +236,13 @@ def test_partition_counts():
 
 def test_subgraph_to_quasitree_examples():
     g = t1()
-    q, s = subgraph_to_quasitree(g, ["ea", "eb"], ["ea"])
-    assert q.mask == 0 and s == {"ea"}
-    q, s = subgraph_to_quasitree(g, ["ea", "eb"], ["eb"])
-    assert q.mask == g.full_mask and s == set()
-    q, s = subgraph_to_quasitree(m1(), None, ["e1"])
-    assert q.mask == 1 and s == set()
+    table = quasi_tree_partition(g, ["ea", "eb"])
+    q, s = table[g.edge_mask(["ea"])]
+    assert q == 0 and set(g.mask_labels(s)) == {"ea"}
+    q, s = table[g.edge_mask(["eb"])]
+    assert q == g.full_mask and set(g.mask_labels(s)) == set()
+    q, s = quasi_tree_partition(m1(), None)[m1().edge_mask(["e1"])]
+    assert q == 1 and set(m1().mask_labels(s)) == set()
 
 
 def test_lemma_conn_and_bc():

@@ -1,9 +1,14 @@
 """Topology of signed rotation systems: bc, duals, partial duals, minors."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from qpoly.graphs import MultiGraph
+from qpoly.quasitrees import _contracted_multigraph
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
+from qpoly.textio import random_graph
 
 from fixture_graphs import FIXTURES, b1, m1, p2, t1, th, tv
 
@@ -370,6 +375,22 @@ def test_split_components():
     assert parts[0] == b1() or parts[0].n_edges == 1
     assert parts[1].twist("e2") == -1
     assert parts[2].n_edges == 0
+
+
+def test_component_counts_agree_on_random_masks():
+    rng = random.Random(5)
+    for seed in range(1, 13):
+        g = random_graph(rng.randint(1, 7), rng.randint(6, 12),
+                         Fraction(3, 10), seed=seed)
+        mg = g.underlying_graph()
+        for _ in range(20):
+            mask = rng.randrange(g.full_mask + 1)
+            c = g.components(mask)
+            assert mg.components(mask) == c
+            assert len(g.restrict(mask).split_components()) == c
+            assert _contracted_multigraph(g, mask, ()).n_vertices == c
+            labels = g.components(mask, labels=True)
+            assert sorted(set(labels)) == list(range(c))
 
 
 def test_canonical_flip_form_identifies_flipped_presentations():
