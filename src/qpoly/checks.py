@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .invariants import (
     PolyKind,
+    _submasks,
     bollobas_riordan,
     krushkal,
     las_vergnas,
@@ -86,16 +87,6 @@ def compute_polynomial(emb, order, kind, method):
 
 def _all_masks(g):
     return range(g.full_mask + 1)
-
-
-def _marked_submasks(emb):
-    m = emb.marked_mask
-    sub = m
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & m
 
 
 def _check_euler_genus(emb, order):
@@ -198,7 +189,7 @@ def _check_surface_complement(emb, order):
     if g.n_edges > 12:
         return ("SKIP", "more than 12 edges")
     _, _, delta = emb.surface_invariants()
-    for f in _marked_submasks(emb):
+    for f in _submasks(emb.marked_mask):
         c_minus, s_perp, k = emb.complement_invariants(f)
         if 2 * g.nullity(f) != 2 * k + delta + g.genus_s(f) - s_perp:
             return ("FAIL", "nullity relation broken at F=%s"
@@ -334,9 +325,8 @@ def _check_deletion_contraction(emb, order):
     mg = emb.underlying_marked_graph()
     marked_labels = [lbl for lbl in g.edge_labels if lbl in emb.marked]
     for lbl in marked_labels:
-        ei = g.edge_labels.index(lbl)
-        h1, h2 = g.edges[ei][1]
-        is_loop = g._vertex_of[2 * ei] == g._vertex_of[2 * ei + 1]
+        a, b = g._ends[g.edge_labels.index(lbl)]
+        is_loop = a == b
         rest = [l for l in marked_labels if l != lbl]
         deleted = EmbeddedGraph(g, rest)
         if is_loop:

@@ -171,10 +171,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self._terms
 
-    @property
-    def is_monomial(self):
-        return len(self._terms) == 1
-
     def terms(self):
         """Yield (exponents, coefficient) pairs in canonical order, where
         exponents is a tuple of :class:`HalfExp`, one per variable."""

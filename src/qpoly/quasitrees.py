@@ -67,9 +67,6 @@ class VertexWord:
     def __iter__(self):
         return iter(self.tokens)
 
-    def positions(self, label):
-        return tuple(self._positions[label])
-
     def sign(self, label):
         i = self._positions[label][0]
         return self.tokens[i][2]
@@ -100,19 +97,13 @@ def quasi_trees(g):
 
 
 def one_vertex_word(g, q):
-    """The vertex word of partial_dual(g, Q) for a quasi-tree Q."""
-    mask = g._norm_mask(q)
-    if g.boundary_components(mask) != 1:
+    """The vertex word of partial_dual(g, Q) for a quasi-tree Q, read off
+    the corner walk of Q without building the partial dual."""
+    walks, signs = g._dual_walks(g._norm_mask(q))
+    if len(walks) + g._bare != 1:
         raise RibbonError("subgraph is not a quasi-tree (bc != 1)")
-    gp = g.partial_dual(mask)
-    if gp.n_vertices != 1:
-        raise RibbonError("partial dual of a quasi-tree must have one vertex")
-    tokens = []
-    for h in gp.vertices[0][1]:
-        idx = g._half_index[h]
-        ei = idx >> 1
-        tokens.append((g.edge_labels[ei], 1 + (idx & 1), gp._sign[ei]))
-    return VertexWord(tokens)
+    return VertexWord((g.edge_labels[h >> 1], 1 + (h & 1), signs[h >> 1])
+                      for walk in walks for h in walk)
 
 
 class ActivityPartition:
@@ -391,9 +382,13 @@ def expansion_krushkal(emb, order=None):
         gq, gstar = build_minor_graphs(g, order, qmask, d, ap)
         t_in = _substituted_tutte(memo_in, gq, inner)
         t_out = _substituted_tutte(memo_out, gstar, outer)
-        # A^(s/2) and B^(s/2) shift the doubled A and B exponents by s
-        s_vi = g.genus_s(g.edge_mask(ap.vi))
-        s_ve = d.genus_s(d.edge_mask(ap.ve))
+        # A^(s/2) and B^(s/2) shift the doubled A and B exponents by s;
+        # s = 2c - v + e - bc with c(F_VI) = v(G_Q), bc(F_VI) = |I_o| + 1
+        # and, in the dual, c(R_VE) = v(G*_Q*), bc(R_VE) = |E_o| + 1
+        s_vi = (2 * gq.n_vertices - g.n_vertices + len(ap.vi)
+                - len(ap.i_o) - 1)
+        s_ve = (2 * gstar.n_vertices - d.n_vertices + len(ap.ve)
+                - len(ap.e_o) - 1)
         for (x, y, a, b, z), c in (t_in * t_out).items_doubled():
             key = (x, y, a + s_vi, b + s_ve, z)
             acc[key] = acc.get(key, 0) + c

@@ -13,12 +13,17 @@ along the rotation visits h's attachment interval from (h, 0) to (h, 1)
 and then follows a disc arc from (h, 1) to the next half-edge's (·, 0)
 corner.  An edge ribbon with halves h, h' contributes its two free sides:
 untwisted they join (h, 0)-(h', 1) and (h, 1)-(h', 0), twisted they join
-(h, 0)-(h', 0) and (h, 1)-(h', 1).  Disc arcs plus free sides form a
-2-regular graph on the corners whose cycles are exactly the boundary
-circles of the ribbon neighbourhood; vertices with no half-edge in the
-subgraph contribute one circle each.  The same walk, run with attachment
-intervals for edges outside a subset H and ribbon sides for edges inside
-H, yields the partial dual construction.
+(h, 0)-(h', 0) and (h, 1)-(h', 1).  The disc arcs, the attachment
+intervals and the ribbon sides do not depend on any subset, so each graph
+builds their tables once.  For a subset H, pair the corners of the edges
+in H along their ribbon sides and those of the other edges along their
+attachment intervals; together with the disc arcs this is a 2-regular
+graph on the corners whose cycles are exactly the boundary circles of the
+spanning subgraph on H that touch a half-edge.  Vertices without
+half-edges add one circle each.  One walk over these cycles gives the
+boundary count bc(H), the vertices of the partial dual G^H (one per
+circle, its rotation the half-edges crossed), and so the vertex word of
+G^Q for a quasi-tree Q.
 
 Subsets of edges are bitmasks in edge-declaration order throughout, and
 graphs are capped at 64 edges.  All values are immutable once built;
@@ -42,6 +47,9 @@ class RibbonError(Exception):
 
 
 _SIGNS = {"+": 1, "-": -1, 1: 1, -1: -1}
+
+# corner c's partner along its attachment interval, for up to 64 edges
+_INTERVALS = tuple(c ^ 1 for c in range(4 * 64))
 
 
 def _iter_bits(mask):
@@ -142,6 +150,23 @@ class RibbonGraph:
         self._rot_idx = tuple(rot_idx)
         self._vertex_of = tuple(self._vertex_of)
         self._ends = tuple(zip(self._vertex_of[0::2], self._vertex_of[1::2]))
+        self._bare = rot_idx.count(())
+
+        # the mask-independent corner tables of the walk: half-edge h owns
+        # corners 2h and 2h + 1, so edge i owns 4i .. 4i + 3.  _arc pairs
+        # the ends of each disc arc and _intervals those of each attachment
+        # interval; _sides[i] holds the partners of edge i's four corners
+        # along its ribbon sides
+        arc = [0] * (2 * nh)
+        for rot in rot_idx:
+            for a, b in zip(rot, rot[1:] + rot[:1]):
+                arc[2 * a + 1] = 2 * b
+                arc[2 * b] = 2 * a + 1
+        self._arc = tuple(arc)
+        self._intervals = _INTERVALS[:2 * nh]
+        self._sides = tuple(
+            (c + 3, c + 2, c + 1, c) if s > 0 else (c + 2, c + 3, c, c + 1)
+            for c, s in zip(range(0, 2 * nh, 4), self._sign))
 
         # precomputed pieces of the equality relation
         self._edge_map = {label: (frozenset(pair), sign)
@@ -202,10 +227,8 @@ class RibbonGraph:
         vnames = [name for name, _ in self.vertices]
         eds = []
         for ei in _iter_bits(mask):
-            label = self.edge_labels[ei]
-            u = self.vertices[self._vertex_of[2 * ei]][0]
-            w = self.vertices[self._vertex_of[2 * ei + 1]][0]
-            eds.append((label, u, w))
+            a, b = self._ends[ei]
+            eds.append((self.edge_labels[ei], vnames[a], vnames[b]))
         return MultiGraph(vnames, eds)
 
     def __eq__(self, other):
@@ -225,54 +248,43 @@ class RibbonGraph:
 
     components = MultiGraph.components
 
+    def _walk(self, mask):
+        """Trace every circle of the corner walk for F_mask.
+
+        Returns (link, role, walks).  link pairs the corners of the edges
+        in mask along their ribbon sides and the others along their
+        attachment intervals.  Each walk lists the corners where its
+        circle leaves along link, from the least corner of the circle on;
+        role[c] is 1 at those corners and 2 where a circle enters along
+        link.
+        """
+        link = list(self._intervals)
+        for ei in _iter_bits(mask):
+            link[4 * ei:4 * ei + 4] = self._sides[ei]
+        arc = self._arc
+        role = bytearray(len(arc))
+        walks = []
+        for c0 in range(len(arc)):
+            if role[c0]:
+                continue
+            walk = []
+            c = c0
+            while not role[c]:
+                role[c] = 1
+                walk.append(c)
+                c = link[c]
+                role[c] = 2
+                c = arc[c]
+            walks.append(walk)
+        return link, role, walks
+
     def boundary_components(self, edges=None):
         """Boundary circles of the ribbon neighbourhood of the subgraph.
 
-        Counted by tracing the corner-point walk described in the module
-        docstring; vertices with no half-edge present count one circle
-        each.
+        The circles of the corner walk described in the module docstring,
+        plus one for each vertex without half-edges.
         """
-        mask = self._norm_mask(edges)
-        count = 0
-        nh = 2 * len(self.edges)
-        arc = [0] * (2 * nh)
-        for rot in self._rot_idx:
-            present = [h for h in rot if (mask >> (h >> 1)) & 1]
-            if not present:
-                count += 1
-                continue
-            m = len(present)
-            for i in range(m):
-                a = present[i]
-                b = present[(i + 1) % m] if i + 1 < m else present[0]
-                arc[2 * a + 1] = 2 * b
-                arc[2 * b] = 2 * a + 1
-        band = [0] * (2 * nh)
-        for ei in _iter_bits(mask):
-            c00 = 4 * ei
-            if self._sign[ei] > 0:
-                band[c00] = c00 + 3
-                band[c00 + 3] = c00
-                band[c00 + 1] = c00 + 2
-                band[c00 + 2] = c00 + 1
-            else:
-                band[c00] = c00 + 2
-                band[c00 + 2] = c00
-                band[c00 + 1] = c00 + 3
-                band[c00 + 3] = c00 + 1
-        seen = bytearray(2 * nh)
-        for ei in _iter_bits(mask):
-            for c0 in (4 * ei, 4 * ei + 1, 4 * ei + 2, 4 * ei + 3):
-                if seen[c0]:
-                    continue
-                count += 1
-                c = c0
-                while not seen[c]:
-                    seen[c] = 1
-                    t = band[c]
-                    seen[t] = 1
-                    c = arc[t]
-        return count
+        return len(self._walk(self._norm_mask(edges))[2]) + self._bare
 
     def genus_s(self, edges=None):
         """s(F) = 2c(F) - v + e(F) - bc(F); twice the orientable genus of
@@ -293,8 +305,7 @@ class RibbonGraph:
         nv = len(self.vertices)
         adj = [[] for _ in range(nv)]
         for ei in _iter_bits(mask):
-            a = self._vertex_of[2 * ei]
-            b = self._vertex_of[2 * ei + 1]
+            a, b = self._ends[ei]
             s = self._sign[ei]
             if a == b:
                 if s < 0:
@@ -352,95 +363,37 @@ class RibbonGraph:
         the new twists.
         """
         mask = self._norm_mask(edges)
-        nE = len(self.edges)
-        if nE == 0:
+        if not self.edges:
             return RibbonGraph(self.vertices, ())
-        nh = 2 * nE
-        arc = [0] * (2 * nh)
-        for rot in self._rot_idx:
-            m = len(rot)
-            for i in range(m):
-                a = rot[i]
-                b = rot[(i + 1) % m]
-                arc[2 * a + 1] = 2 * b
-                arc[2 * b] = 2 * a + 1
-        link = [0] * (2 * nh)
-        token = [0] * (2 * nh)
-        for ei in range(nE):
-            h1 = 2 * ei
-            h2 = h1 + 1
-            c00, c01, c10, c11 = 4 * ei, 4 * ei + 1, 4 * ei + 2, 4 * ei + 3
-            if (mask >> ei) & 1:
-                if self._sign[ei] > 0:
-                    link[c00] = c11
-                    link[c11] = c00
-                    link[c01] = c10
-                    link[c10] = c01
-                else:
-                    link[c00] = c10
-                    link[c10] = c00
-                    link[c01] = c11
-                    link[c11] = c01
-                # the ribbon side holding (h1, 0) is re-labelled h1, the
-                # other side h2, so the edge pairing survives unchanged
-                token[c00] = token[link[c00]] = h1
-                token[c01] = token[link[c01]] = h2
-            else:
-                link[c00] = c01
-                link[c01] = c00
-                link[c10] = c11
-                link[c11] = c10
-                token[c00] = token[c01] = h1
-                token[c10] = token[c11] = h2
-
-        visited = bytearray(2 * nh)
-        role = [None] * (2 * nh)
-        walks = []
-        for c0 in range(2 * nh):
-            if visited[c0]:
-                continue
-            tokens = []
-            c = c0
-            while True:
-                q = link[c]
-                th = token[c]
-                tokens.append(th)
-                role[c] = (th, 0)
-                role[q] = (th, 1)
-                visited[c] = 1
-                visited[q] = 1
-                c = arc[q]
-                if c == c0:
-                    break
-            walks.append(tokens)
-
-        new_vertices = []
-        for i, tokens in enumerate(walks):
-            name = "v%d" % (i + 1)
-            new_vertices.append((name, tuple(self.half_labels[t] for t in tokens)))
-        extra = len(walks)
-        for name, rot in self.vertices:
-            if not rot:
-                extra += 1
-                new_vertices.append(("v%d" % extra, ()))
-
-        new_edges = []
-        for ei, (label, pair, sign) in enumerate(self.edges):
-            c00, c01, c10, c11 = 4 * ei, 4 * ei + 1, 4 * ei + 2, 4 * ei + 3
-            if (mask >> ei) & 1:
-                sides = ((c00, c01), (c10, c11))
-            elif sign > 0:
-                sides = ((c00, c11), (c01, c10))
-            else:
-                sides = ((c00, c10), (c01, c11))
-            pattern = {role[p][1] + role[q][1] for p, q in sides}
-            if pattern == {1}:
-                new_sign = 1
-            else:
-                assert pattern <= {0, 2}, "inconsistent corner pairing on %r" % label
-                new_sign = -1
-            new_edges.append((label, pair, new_sign))
+        walks, signs = self._dual_walks(mask)
+        labels = self.half_labels
+        new_vertices = [("v%d" % (i + 1), tuple(labels[h] for h in walk))
+                        for i, walk in enumerate(walks)]
+        for _ in range(self._bare):
+            new_vertices.append(("v%d" % (len(new_vertices) + 1), ()))
+        new_edges = [(label, pair, sign)
+                     for (label, pair, _), sign in zip(self.edges, signs)]
         return RibbonGraph(new_vertices, new_edges)
+
+    def _dual_walks(self, mask):
+        """The rotations of the walk vertices of the partial dual on mask,
+        as half-edge indexes, and the twists of its edges.
+
+        A circle leaving a corner c along link crosses the re-attached
+        half-edge of c's edge: the ribbon side or interval holding (h1, 0)
+        keeps h1, the other one becomes h2.  An edge is untwisted exactly
+        when the corners paired by its other pairing (intervals for edges
+        in mask, ribbon sides for the rest) have opposite roles.
+        """
+        link, role, walks = self._walk(mask)
+        walks = [[(c >> 2 << 1) | (min(c, link[c]) & 3 != 0) for c in walk]
+                 for walk in walks]
+        signs = []
+        for ei in range(len(self.edges)):
+            c = 4 * ei
+            other = c + 1 if (mask >> ei) & 1 else self._sides[ei][0]
+            signs.append(1 if role[c] != role[other] else -1)
+        return walks, signs
 
     def dual(self):
         """The Poincare dual: one vertex per boundary circle, same edges."""
@@ -468,8 +421,7 @@ class RibbonGraph:
         """
         ei = self._edge_index[label]
         h1, h2 = self.edges[ei][1]
-        u = self._vertex_of[2 * ei]
-        w = self._vertex_of[2 * ei + 1]
+        u, w = self._ends[ei]
         if u == w:
             raise RibbonError("cannot contract the loop %r" % label)
         flip = self._sign[ei] < 0
@@ -490,19 +442,11 @@ class RibbonGraph:
         for ej, (lab, pair, sign) in enumerate(self.edges):
             if ej == ei:
                 continue
-            if flip:
-                at_w = (self._vertex_of[2 * ej] == w) + (self._vertex_of[2 * ej + 1] == w)
-                if at_w == 1:
-                    sign = -sign
+            a, b = self._ends[ej]
+            if flip and (a == w) != (b == w):
+                sign = -sign
             new_edges.append((lab, pair, sign))
         return RibbonGraph(new_vertices, new_edges)
-
-    def minor(self, label, mode):
-        if mode == "delete":
-            return self.delete(label)
-        if mode == "contract":
-            return self.contract(label)
-        raise RibbonError("minor mode must be 'delete' or 'contract', got %r" % (mode,))
 
     def restrict(self, edges):
         """The spanning ribbon subgraph on an edge subset, as a graph of
@@ -529,78 +473,6 @@ class RibbonGraph:
         for edge, (a, _) in zip(self.edges, self._ends):
             eds[comp[a]].append(edge)
         return [RibbonGraph(v, e) for v, e in zip(verts, eds)]
-
-    # ------------------------------------------------------------------
-    # flip canonicalization
-
-    def canonical_flip_form(self):
-        """A canonical encoding of the graph modulo vertex flips.
-
-        Two graphs with corresponding labels (same edges declared in the
-        same order) are related by vertex flips iff their forms are equal.
-        Per component there are exactly two flip assignments normalizing
-        a spanning tree to all-positive twists; the encoding takes the
-        lexicographically smaller of the two.
-        """
-        nv = len(self.vertices)
-        nE = len(self.edges)
-        adj = [[] for _ in range(nv)]
-        for ei in range(nE):
-            a = self._vertex_of[2 * ei]
-            b = self._vertex_of[2 * ei + 1]
-            if a != b:
-                adj[a].append((b, ei))
-                adj[b].append((a, ei))
-        assigned = [0] * nv
-        comp_of = [-1] * nv
-        comps = []
-        for start in range(nv):
-            if comp_of[start] >= 0:
-                continue
-            ci = len(comps)
-            members = [start]
-            comp_of[start] = ci
-            assigned[start] = 1
-            queue = [start]
-            qi = 0
-            while qi < len(queue):
-                x = queue[qi]
-                qi += 1
-                for y, ei in adj[x]:
-                    if comp_of[y] < 0:
-                        comp_of[y] = ci
-                        assigned[y] = assigned[x] * self._sign[ei]
-                        members.append(y)
-                        queue.append(y)
-            comps.append(members)
-
-        def encode(ci, rootsign):
-            members = comps[ci]
-            flips = {vi: assigned[vi] * rootsign for vi in members}
-            rots = []
-            for vi in members:
-                rot = self._rot_idx[vi]
-                if flips[vi] < 0:
-                    rot = tuple(reversed(rot))
-                rots.append(_cyclic_min(rot))
-            rots.sort()
-            signs = []
-            for ei in range(nE):
-                a = self._vertex_of[2 * ei]
-                if comp_of[a] != ci:
-                    continue
-                b = self._vertex_of[2 * ei + 1]
-                s = self._sign[ei]
-                if a != b:
-                    s *= flips[a] * flips[b]
-                signs.append((ei, s))
-            return (tuple(rots), tuple(signs))
-
-        forms = []
-        for ci in range(len(comps)):
-            forms.append(min(encode(ci, 1), encode(ci, -1)))
-        forms.sort()
-        return tuple(forms)
 
 
 class SpanningSubgraph:

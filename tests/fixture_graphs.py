@@ -6,9 +6,16 @@ T1  one vertex, two interleaved loops         (torus)
 P2  one vertex, two nested loops              (sphere, three faces)
 TH  two vertices, three parallel edges        (theta graph on the sphere)
 TV  one vertex, no edges                      (disc)
+
+random_twisted_graphs() adds twelve pinned connected random graphs with
+5 to 10 edges, each edge twisted with probability 3/10.
 """
 
+import random
+from fractions import Fraction
+
 from qpoly.ribbon import RibbonGraph
+from qpoly.textio import random_graph
 
 
 def b1():
@@ -44,3 +51,9 @@ def tv():
 
 
 FIXTURES = {"B1": b1, "M1": m1, "T1": t1, "P2": p2, "TH": th, "TV": tv}
+
+
+def random_twisted_graphs():
+    rng = random.Random(17)
+    return [random_graph(rng.randint(1, 6), rng.randint(5, 10),
+                         Fraction(3, 10), seed=seed) for seed in range(1, 13)]

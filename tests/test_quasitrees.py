@@ -21,7 +21,7 @@ from qpoly.quasitrees import (
 )
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 
-from fixture_graphs import FIXTURES, b1, m1, t1, th, tv
+from fixture_graphs import FIXTURES, b1, m1, random_twisted_graphs, t1, th, tv
 
 CONNECTED = {k: v for k, v in FIXTURES.items()}
 
@@ -83,6 +83,20 @@ def test_word_length_is_twice_edge_count():
         g = make()
         for qmask in quasi_tree_masks(g):
             assert len(one_vertex_word(g, qmask)) == 2 * g.n_edges, name
+
+
+def test_one_vertex_word_is_the_partial_dual_vertex():
+    # the word is read off the corner walk without building G^Q; it must
+    # be the rotation and the twists of the one vertex of G^Q itself
+    graphs = [make() for make in CONNECTED.values()] + random_twisted_graphs()
+    for g in graphs:
+        for qmask in quasi_tree_masks(g):
+            gq = g.partial_dual(qmask)
+            assert gq.n_vertices == 1
+            token = {h: (label, end + 1, sign) for label, pair, sign in gq.edges
+                     for end, h in enumerate(pair)}
+            expected = [token[h] for h in gq.vertices[0][1]]
+            assert list(one_vertex_word(g, qmask)) == expected, (g, qmask)
 
 
 def test_one_vertex_word_rejects_non_quasi_tree():
@@ -247,15 +261,18 @@ def test_subgraph_to_quasitree_examples():
 
 def test_lemma_conn_and_bc():
     # c(F_{VI u S}) only depends on the internal part S1, and
-    # bc(F_{VI u S}) = bc(F_VI) - |S1| + |S2|, with bc(F_VI) = |I_o| + 1
+    # bc(F_{VI u S}) = bc(F_VI) - |S1| + |S2|, with bc(F_VI) = |I_o| + 1;
+    # dually bc(R_VE) = |E_o| + 1 in G*, which expansion_krushkal uses
     for name, make in CONNECTED.items():
         g = make()
+        d = g.dual()
         for qmask in quasi_tree_masks(g):
             ap = activities(g, None, qmask)
             vi = g.edge_mask(ap.vi)
             io = sorted(g._edge_index[x] for x in ap.i_o)
             eo = sorted(g._edge_index[x] for x in ap.e_o)
             assert g.boundary_components(vi) == len(io) + 1, name
+            assert d.boundary_components(d.edge_mask(ap.ve)) == len(eo) + 1, name
             for p1 in range(1 << len(io)):
                 s1 = sum(1 << io[i] for i in range(len(io)) if (p1 >> i) & 1)
                 c_ref = g.components(vi | s1)

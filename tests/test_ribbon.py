@@ -10,7 +10,7 @@ from qpoly.quasitrees import _contracted_multigraph
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 from qpoly.textio import random_graph
 
-from fixture_graphs import FIXTURES, b1, m1, p2, t1, th, tv
+from fixture_graphs import FIXTURES, b1, m1, p2, random_twisted_graphs, t1, th, tv
 
 
 def all_masks(g):
@@ -100,6 +100,61 @@ def test_boundary_components_examples():
     assert t1().boundary_components() == 1
     assert th().boundary_components() == 3
     assert tv().boundary_components() == 1
+
+
+def reference_boundary_components(g, mask):
+    """The boundary walk over the present edges only, kept as an
+    independent reference for the shared corner walk."""
+    count = 0
+    nh = 2 * g.n_edges
+    arc = [0] * (2 * nh)
+    for rot in g._rot_idx:
+        present = [h for h in rot if (mask >> (h >> 1)) & 1]
+        if not present:
+            count += 1
+            continue
+        for a, b in zip(present, present[1:] + present[:1]):
+            arc[2 * a + 1] = 2 * b
+            arc[2 * b] = 2 * a + 1
+    band = [0] * (2 * nh)
+    for ei in range(g.n_edges):
+        if not (mask >> ei) & 1:
+            continue
+        c00 = 4 * ei
+        if g._sign[ei] > 0:
+            sides = ((c00, c00 + 3), (c00 + 1, c00 + 2))
+        else:
+            sides = ((c00, c00 + 2), (c00 + 1, c00 + 3))
+        for p, q in sides:
+            band[p] = q
+            band[q] = p
+    seen = bytearray(2 * nh)
+    for ei in range(g.n_edges):
+        if not (mask >> ei) & 1:
+            continue
+        for c0 in range(4 * ei, 4 * ei + 4):
+            if seen[c0]:
+                continue
+            count += 1
+            c = c0
+            while not seen[c]:
+                seen[c] = 1
+                t = band[c]
+                seen[t] = 1
+                c = arc[t]
+    return count
+
+
+def test_boundary_components_match_present_edge_walk():
+    graphs = [make() for make in FIXTURES.values()] + random_twisted_graphs()
+    graphs.append(RibbonGraph(
+        [("x", ()), ("v1", ("a1", "a2")), ("v2", ("b1", "c1", "b2", "c2"))],
+        [("e1", ("a1", "a2"), "-"), ("e2", ("b1", "b2"), "+"),
+         ("e3", ("c1", "c2"), "-")]))
+    for g in graphs:
+        for mask in all_masks(g):
+            assert g.boundary_components(mask) == \
+                reference_boundary_components(g, mask), (g, mask)
 
 
 def test_genus_s_examples():
@@ -245,14 +300,14 @@ def test_boundary_count_duality():
 
 
 def test_minor_delete_theta():
-    g = th().minor("e1", "delete")
+    g = th().delete("e1")
     assert g.n_vertices == 2
     assert g.n_edges == 2
     assert g.components() == 1
 
 
 def test_minor_contract_theta():
-    g = th().minor("e1", "contract")
+    g = th().contract("e1")
     assert g.n_vertices == 1
     assert g.n_edges == 2
     assert g.boundary_components() == 3
@@ -262,12 +317,7 @@ def test_minor_contract_loop_is_error():
     with pytest.raises(RibbonError):
         m1().contract("e1")
     with pytest.raises(RibbonError):
-        b1().minor("e1", "contract")
-
-
-def test_minor_bad_mode():
-    with pytest.raises(RibbonError):
-        th().minor("e1", "shrink")
+        b1().contract("e1")
 
 
 def test_contract_preserves_boundary_count():
@@ -393,7 +443,7 @@ def test_component_counts_agree_on_random_masks():
             assert sorted(set(labels)) == list(range(c))
 
 
-def test_canonical_flip_form_identifies_flipped_presentations():
+def test_vertex_flip_preserves_subgraph_profile():
     g = th()
     # flip vertex w: reverse its rotation, toggle every edge with one end there
     f = RibbonGraph(
@@ -402,12 +452,7 @@ def test_canonical_flip_form_identifies_flipped_presentations():
          ("e2", ("b1", "b2"), "-"),
          ("e3", ("c1", "c2"), "-")])
     assert g != f
-    assert g.canonical_flip_form() == f.canonical_flip_form()
     assert g.subgraph_profile() == f.subgraph_profile()
-
-
-def test_canonical_flip_form_separates_b1_m1():
-    assert b1().canonical_flip_form() != m1().canonical_flip_form()
 
 
 def test_underlying_graph_and_multigraph():
