@@ -33,10 +33,9 @@ from .quasitrees import (
     expansion_lv,
     one_vertex_word,
     quasi_tree_partition,
-    quasi_trees,
     resolution_tree,
 )
-from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, SpanningSubgraph
+from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 from .textio import ParseError, XorShift64Star, parse, random_graph, serialize
 
 __version__ = "0.1.0"
@@ -53,7 +52,6 @@ __all__ = [
     "RankFunction",
     "RibbonError",
     "RibbonGraph",
-    "SpanningSubgraph",
     "SubstitutionError",
     "XorShift64Star",
     "activities",
@@ -70,7 +68,6 @@ __all__ = [
     "parse",
     "parse_poly",
     "quasi_tree_partition",
-    "quasi_trees",
     "random_graph",
     "resolution_tree",
     "run_checks",

@@ -367,9 +367,16 @@ CHECKS = (
 
 
 def run_checks(emb, order):
-    """Run every identity; returns [(name, status, detail), ...]."""
+    """Run every identity; returns [(name, status, detail), ...].
+
+    An identity that raises reports FAIL with "<ExceptionType>: <message>"
+    as its detail, and the battery goes on with the next one.
+    """
     out = []
     for name, fn in CHECKS:
-        status, detail = fn(emb, order)
+        try:
+            status, detail = fn(emb, order)
+        except Exception as exc:
+            status, detail = "FAIL", "%s: %s" % (type(exc).__name__, exc)
         out.append((name, status, detail))
     return out

@@ -6,6 +6,18 @@ modules.  The quasi-tree module reproduces these values by structurally
 different sums, which is the point of the whole exercise; these are the
 oracles.
 
+Each oracle is one tally.  For every subset it reads the fewest counts it
+needs, forms one doubled exponent vector and counts it; the polynomial is
+built once, from the tally.  The Krushkal sum reads three counts per
+subset, c_G(F), c_G*(E-F) and bc_G(F): the regular neighbourhoods of F in
+G and of E-F in the dual cellulation G* share one boundary, so
+bc_G*(E-F) = bc_G(F), and s(F) and s_perp(F) both follow.  The Las Vergnas
+sum tallies X^(r(E)-r(F)) Y^(|F|-rb(F)) Z^(...) and substitutes X-1 and
+Y-1 once at the end.  EmbeddedGraph.complement_invariants still walks the
+dual for s_perp: the surface-complement check tests
+2n(F) = 2k + delta + s(F) - s_perp(F) with it, an identity that would hold
+by algebra alone if s_perp took bc from G.
+
 Conventions.  The Tutte polynomial uses the Whitney-rank normalization
 T(X, Y) = sum over F of X^(c(F)-c(G)) Y^(n(F)), a translate of the
 classical one.  The Bollobas-Riordan polynomial carries Z^(s(F)) where
@@ -55,7 +67,8 @@ def krushkal(emb):
 
     Sum over subsets F of the marked edges of
     X^(c(F)-c(G)) Y^(c(Sigma-F)-c(Sigma)) A^(s(F)/2) B^(s_perp(F)/2),
-    with complement data read off the dual cellulation.  Works for
+    with complement data read off the dual cellulation G*: c(Sigma-F) is
+    c_G*(E-F), and s_perp(F) uses bc_G*(E-F) = bc_G(F).  Works for
     cellular and non-cellular markings alike.
     """
     if not isinstance(emb, EmbeddedGraph):
@@ -64,16 +77,17 @@ def krushkal(emb):
     d = emb.dual_cellulation
     full = g.full_mask
     marked = emb.marked_mask
+    nv, nv_d, ne = g.n_vertices, d.n_vertices, g.n_edges
     c_g = g.components(marked)
     c_sigma = g.components(full)
     acc = {}
     for f in _submasks(marked):
-        co = full ^ f
-        key = (2 * (g.components(f) - c_g),
-               2 * (d.components(co) - c_sigma),
-               g.genus_s(f),
-               d.genus_s(co),
-               0)
+        c = g.components(f)
+        c_perp = d.components(full ^ f)
+        bc = g.boundary_components(f)
+        k = f.bit_count()
+        key = (2 * (c - c_g), 2 * (c_perp - c_sigma),
+               2 * c - nv + k - bc, 2 * c_perp - nv_d + ne - k - bc, 0)
         acc[key] = acc.get(key, 0) + 1
     return LaurentPoly(acc)
 
@@ -109,8 +123,9 @@ def bollobas_riordan(g):
     acc = {}
     for f in range(full + 1):
         c = g.components(f)
-        n = f.bit_count() - nv + c
-        key = (2 * (c - c_g), 2 * n, 0, 0, 2 * g.genus_s(f))
+        k = f.bit_count()
+        s = 2 * c - nv + k - g.boundary_components(f)
+        key = (2 * (c - c_g), 2 * (k - nv + c), 0, 0, 2 * s)
         acc[key] = acc.get(key, 0) + 1
     return LaurentPoly(acc)
 
@@ -132,15 +147,16 @@ def las_vergnas(emb):
     full = g.full_mask
     r_full = r.rank(full)
     rb_full = rb.rank(full)
-    xm1 = LaurentPoly.variable("X") - 1
-    ym1 = LaurentPoly.variable("Y") - 1
-    total = LaurentPoly.zero()
+    acc = {}
     for f in range(full + 1):
+        rb_f = rb.rank(f)
         dr = r_full - r.rank(f)
-        nb = f.bit_count() - rb.rank(f)
-        dz = (rb_full - rb.rank(f)) - dr
-        total = total + xm1 ** dr * ym1 ** nb * LaurentPoly.term(Z=dz)
-    return total
+        key = (2 * dr, 2 * (f.bit_count() - rb_f), 0, 0, 2 * (rb_full - rb_f - dr))
+        acc[key] = acc.get(key, 0) + 1
+    return LaurentPoly(acc).substitute({
+        "X": LaurentPoly.variable("X") - 1,
+        "Y": LaurentPoly.variable("Y") - 1,
+    })
 
 
 def specialize(p, target, *, delta=None, s=None):

@@ -181,13 +181,6 @@ class LaurentPoly:
         """The raw (doubled exponent vector, coefficient) pairs."""
         return self._terms.items()
 
-    def coefficient(self, **exponents):
-        """The coefficient of the given monomial (natural units)."""
-        vec = [0] * _NVARS
-        for var, value in exponents.items():
-            vec[_VAR_INDEX[var]] = _to_doubled(value)
-        return self._terms.get(tuple(vec), 0)
-
     def __bool__(self):
         return bool(self._terms)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from .graphs import MultiGraph
 from .invariants import PolyKind, specialize, tutte
 from .laurent import LaurentPoly
-from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, SpanningSubgraph
+from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 
 __all__ = [
     "VertexWord",
@@ -31,7 +31,6 @@ __all__ = [
     "ResolutionNode",
     "ResolutionTree",
     "quasi_tree_masks",
-    "quasi_trees",
     "one_vertex_word",
     "activities",
     "resolution_tree",
@@ -90,10 +89,6 @@ def quasi_tree_masks(g):
         raise RibbonError("quasi-trees are defined for connected graphs")
     return [mask for mask in range(g.full_mask + 1)
             if g.boundary_components(mask) == 1]
-
-
-def quasi_trees(g):
-    return [SpanningSubgraph(g, mask) for mask in quasi_tree_masks(g)]
 
 
 def one_vertex_word(g, q):

@@ -37,7 +37,6 @@ from .graphs import MultiGraph
 __all__ = [
     "RibbonError",
     "RibbonGraph",
-    "SpanningSubgraph",
     "EmbeddedGraph",
 ]
 
@@ -208,18 +207,11 @@ class RibbonGraph:
     def _norm_mask(self, edges):
         if edges is None:
             return self.full_mask
-        if isinstance(edges, SpanningSubgraph):
-            if edges.parent is not self and edges.parent != self:
-                raise RibbonError("subgraph belongs to a different graph")
-            return edges.mask
         if isinstance(edges, int):
             if edges < 0 or edges > self.full_mask:
                 raise RibbonError("edge mask %#x out of range" % edges)
             return edges
         return self.edge_mask(edges)
-
-    def subgraph(self, edges=None):
-        return SpanningSubgraph(self, edges)
 
     def underlying_graph(self, edges=None):
         """The ordinary multigraph on the same vertices and the given edges."""
@@ -473,53 +465,6 @@ class RibbonGraph:
         for edge, (a, _) in zip(self.edges, self._ends):
             eds[comp[a]].append(edge)
         return [RibbonGraph(v, e) for v, e in zip(verts, eds)]
-
-
-class SpanningSubgraph:
-    """An edge subset of a parent ribbon graph, with all vertices kept."""
-
-    __slots__ = ("parent", "mask", "edges")
-
-    def __init__(self, parent, edges=None):
-        self.parent = parent
-        self.mask = parent._norm_mask(edges)
-        self.edges = frozenset(parent.mask_labels(self.mask))
-
-    @property
-    def n_edges(self):
-        return self.mask.bit_count()
-
-    def components(self):
-        return self.parent.components(self.mask)
-
-    def boundary_components(self):
-        return self.parent.boundary_components(self.mask)
-
-    def genus_s(self):
-        return self.parent.genus_s(self.mask)
-
-    def nullity(self):
-        return self.parent.nullity(self.mask)
-
-    def is_orientable(self):
-        return self.parent.is_orientable(self.mask)
-
-    def __contains__(self, label):
-        return label in self.edges
-
-    def __len__(self):
-        return self.mask.bit_count()
-
-    def __eq__(self, other):
-        if not isinstance(other, SpanningSubgraph):
-            return NotImplemented
-        return self.mask == other.mask and self.parent == other.parent
-
-    def __hash__(self):
-        return hash((self.mask, self.parent))
-
-    def __repr__(self):
-        return "<SpanningSubgraph {%s}>" % ",".join(sorted(self.edges))
 
 
 class EmbeddedGraph:

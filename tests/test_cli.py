@@ -7,7 +7,7 @@ import pytest
 
 from qpoly import checks as checks_mod
 from qpoly.cli import main
-from qpoly.ribbon import EmbeddedGraph
+from qpoly.ribbon import EmbeddedGraph, RibbonError
 from qpoly.textio import parse, random_graph, serialize
 
 from fixture_graphs import FIXTURES, t1
@@ -114,6 +114,24 @@ def test_check_reports_failure_with_exit_3(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check", "-i", path)
     assert code == 3
     assert "FAIL rigged-check (rigged)" in out
+
+
+def test_check_reports_raising_identity_and_goes_on(tmp_path, capsys, monkeypatch):
+    def raising(emb, order):
+        raise RibbonError("rigged to raise")
+
+    table = checks_mod.CHECKS
+    monkeypatch.setattr(checks_mod, "CHECKS",
+                        table[:1] + (("raising-check", raising),) + table[1:])
+    results = checks_mod.run_checks(*parse(T1_DOC))
+    assert [name for name, _, _ in results] == [name for name, _ in checks_mod.CHECKS]
+    assert results[1] == ("raising-check", "FAIL", "RibbonError: rigged to raise")
+    assert all(status != "FAIL" for _, status, _ in results[:1] + results[2:])
+    path = write_doc(tmp_path, T1_DOC)
+    code, out, err = run_cli(capsys, "check", "-i", path)
+    assert code == 3 and err == ""
+    assert "FAIL raising-check (RibbonError: rigged to raise)" in out
+    assert len(out.splitlines()) == len(checks_mod.CHECKS)
 
 
 def test_check_skips_on_marked_subset(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Polynomial oracles: Krushkal, Tutte, Bollobas-Riordan, Las Vergnas."""
 
+import random
+
 import pytest
 
 from qpoly.graphs import MultiGraph
@@ -11,10 +13,12 @@ from qpoly.invariants import (
     specialize,
     tutte,
 )
+from qpoly.invariants import _submasks
 from qpoly.laurent import LaurentPoly, parse_poly
+from qpoly.matroid import bond_matroid, cycle_matroid
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 
-from fixture_graphs import FIXTURES, b1, m1, p2, t1, th, tv
+from fixture_graphs import FIXTURES, b1, m1, p2, random_twisted_graphs, t1, th, tv
 
 
 def cellular(make):
@@ -206,3 +210,70 @@ def test_disjoint_union_multiplies():
         las_vergnas(cellular(m1)) * las_vergnas(cellular(b1)))
     assert tutte(union.underlying_graph()) == (
         tutte(m1().underlying_graph()) * tutte(b1().underlying_graph()))
+
+
+# ----------------------------------------------------------------------
+# the tallies against per-subset sums built from the definitions
+
+
+def krushkal_by_definition(emb):
+    """Both sides walked: components and genus_s of F in G and of E-F in
+    the dual cellulation, for every marked subset."""
+    g, d = emb.cellulation, emb.dual_cellulation
+    full = g.full_mask
+    c_g, c_sigma = g.components(emb.marked_mask), g.components(full)
+    acc = {}
+    for f in _submasks(emb.marked_mask):
+        co = full ^ f
+        key = (2 * (g.components(f) - c_g), 2 * (d.components(co) - c_sigma),
+               g.genus_s(f), d.genus_s(co), 0)
+        acc[key] = acc.get(key, 0) + 1
+    return LaurentPoly(acc)
+
+
+def bollobas_riordan_by_definition(g):
+    c_g = g.components()
+    total = LaurentPoly.zero()
+    for f in range(g.full_mask + 1):
+        total = total + LaurentPoly.term(
+            X=g.components(f) - c_g, Y=g.nullity(f), Z=g.genus_s(f))
+    return total
+
+
+def las_vergnas_by_definition(emb):
+    """Laurent arithmetic for every subset, as the sum is written."""
+    g = emb.cellulation
+    r = cycle_matroid(g.underlying_graph())
+    rb = bond_matroid(emb.dual_cellulation.underlying_graph())
+    full = g.full_mask
+    xm1 = LaurentPoly.variable("X") - 1
+    ym1 = LaurentPoly.variable("Y") - 1
+    total = LaurentPoly.zero()
+    for f in range(full + 1):
+        dr = r.rank(full) - r.rank(f)
+        nb = f.bit_count() - rb.rank(f)
+        dz = (rb.rank(full) - rb.rank(f)) - dr
+        total = total + xm1 ** dr * ym1 ** nb * LaurentPoly.term(Z=dz)
+    return total
+
+
+def disconnected_with_bare_vertex():
+    return RibbonGraph(
+        [("u", ("a1", "b1", "a2")), ("w", ("b2", "c1", "c2")),
+         ("y", ("d1", "d2")), ("x", ())],
+        [("e1", ("a1", "a2"), "-"), ("e2", ("b1", "b2"), "+"),
+         ("e3", ("c1", "c2"), "+"), ("e4", ("d1", "d2"), "-")])
+
+
+def test_tallies_match_per_subset_sums():
+    rng = random.Random(29)
+    graphs = [make() for make in FIXTURES.values()]
+    graphs += [g for g in random_twisted_graphs() if g.n_edges <= 9]
+    graphs.append(disconnected_with_bare_vertex())
+    for g in graphs:
+        emb = EmbeddedGraph(g)
+        assert krushkal(emb) == krushkal_by_definition(emb), g
+        assert bollobas_riordan(g) == bollobas_riordan_by_definition(g), g
+        assert las_vergnas(emb) == las_vergnas_by_definition(emb), g
+        marked = EmbeddedGraph(g, rng.randrange(g.full_mask + 1))
+        assert krushkal(marked) == krushkal_by_definition(marked), g

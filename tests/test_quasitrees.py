@@ -16,7 +16,6 @@ from qpoly.quasitrees import (
     one_vertex_word,
     quasi_tree_masks,
     quasi_tree_partition,
-    quasi_trees,
     resolution_tree,
 )
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
@@ -49,14 +48,9 @@ def word_of(labels):
 def test_quasi_trees_examples():
     assert quasi_tree_masks(m1()) == [0, 1]
     assert quasi_tree_masks(b1()) == [0]
+    assert quasi_tree_masks(t1()) == [0, 3]
     g = th()
     assert quasi_tree_masks(g) == [g.edge_mask([lab]) for lab in ("e1", "e2", "e3")]
-
-
-def test_quasi_trees_wrapper():
-    qts = quasi_trees(t1())
-    assert [q.mask for q in qts] == [0, 3]
-    assert all(q.boundary_components() == 1 for q in qts)
 
 
 def test_quasi_trees_need_connected():

@@ -194,19 +194,6 @@ def test_subgraph_profile_shape():
     assert prof[3] == (1, 1, 2, 2)
 
 
-def test_spanning_subgraph_wrapper():
-    g = th()
-    f = g.subgraph(["e1", "e2"])
-    assert f.components() == 1
-    assert f.boundary_components() == 2
-    assert f.genus_s() == 0
-    assert f.nullity() == 1
-    assert f.is_orientable() is True
-    assert "e1" in f and "e3" not in f
-    assert len(f) == 2
-    assert g.subgraph(None).mask == g.full_mask
-
-
 # ----------------------------------------------------------------------
 # dual and partial dual
 
