@@ -140,7 +140,7 @@ def _check_partial_dual_counts(emb, order):
     orient = g.is_orientable()
     for h in _all_masks(g):
         gh = g.partial_dual(h)
-        if gh.n_vertices != g.boundary_components(h):
+        if gh.n_vertices != g.restrict(h).boundary_components():
             return ("FAIL", "v(G^H) != bc(F_H) at H=%s" % sorted(g.mask_labels(h)))
         if gh.boundary_components() != g.boundary_components(full ^ h):
             return ("FAIL", "bc(G^H) != bc of complement at H=%s"

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .checks import compute_polynomial, run_checks
-from .quasitrees import activities, one_vertex_word, quasi_tree_masks
+from .quasitrees import activities, quasi_tree_masks
 from .ribbon import EmbeddedGraph, RibbonError
 from .textio import ParseError, parse, random_graph, serialize
 
@@ -67,8 +67,7 @@ def _cmd_quasitrees(args):
     g = emb.ribbon_subgraph()
     sub_order = tuple(lbl for lbl in order if lbl in emb.marked)
     for qmask in quasi_tree_masks(g):
-        word = one_vertex_word(g, qmask)
-        ap = activities(g, sub_order, qmask, word)
+        ap = activities(g, sub_order, qmask)
         fields = ["Q=%s" % _set(g.mask_labels(qmask))]
         for key, val in ap.as_dict().items():
             fields.append("%s=%s" % (key, _set(

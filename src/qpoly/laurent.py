@@ -167,10 +167,6 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # structure
 
-    @property
-    def is_zero(self):
-        return not self._terms
-
     def terms(self):
         """Yield (exponents, coefficient) pairs in canonical order, where
         exponents is a tuple of :class:`HalfExp`, one per variable."""

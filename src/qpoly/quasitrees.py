@@ -11,6 +11,10 @@ untwisted.  Crossing liveness with internal/external and orientability
 splits E(G) into six classes, and the subsets VI(Q) union S over choices
 S of live orientable edges partition all 2^e spanning subgraphs.
 
+activities reads the classes off Q's corner walk in one pass, a running
+XOR of edge bits giving each edge the bitset of the edges linking it;
+VertexWord (one_vertex_word) spells the word out for display and tests.
+
 expansion_krushkal sums one closed-form term per quasi-tree.  The
 Bollobas-Riordan and Las Vergnas expansions are its images under the
 specialization maps of invariants, so there is one per-quasi-tree sum;
@@ -21,7 +25,7 @@ coefficient for coefficient.
 from __future__ import annotations
 
 from .graphs import MultiGraph
-from .invariants import PolyKind, specialize, tutte
+from .invariants import PolyKind, _submasks, specialize, tutte
 from .laurent import LaurentPoly
 from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 
@@ -147,33 +151,43 @@ def _check_order(g, order):
     return order
 
 
-def activities(g, order, q, word=None):
+def activities(g, order, q):
     """Classify every edge relative to the quasi-tree q under the order.
 
     An edge is live when no strictly lower-ordered edge links it in the
     one-vertex word of the partial dual, internal when it lies in q, and
     orientable when its loop in the partial dual is untwisted.
     """
-    order = _check_order(g, order)
-    mask = g._norm_mask(q)
-    if word is None:
-        word = one_vertex_word(g, mask)
-    return _classify(g, _ranks(order), mask, word)
+    return _classify(g, _lower_masks(g, order), g._norm_mask(q))
 
 
-def _ranks(order):
-    return {label: i for i, label in enumerate(order)}
+def _lower_masks(g, order):
+    """Check the order; lower[ei] is the mask of the edges strictly below
+    edge ei in it."""
+    lower, below = [0] * len(g.edges), 0
+    for ei in map(g._edge_index.get, _check_order(g, order)):
+        lower[ei], below = below, below | 1 << ei
+    return lower
 
 
-def _classify(g, rank, mask, word):
+def _classify(g, lower, mask):
+    walks, signs = g._dual_walks(mask)
+    if len(walks) + g._bare != 1:
+        raise RibbonError("subgraph is not a quasi-tree (bc != 1)")
+    # acc is the running XOR of edge bits along the one vertex word; its
+    # values just before the two ends of e differ in e's own bit and in the
+    # bits flipped once in between, which are exactly the edges linking e
+    links = [0] * len(g.edges)
+    acc = 0
+    for h in walks[0] if walks else ():
+        links[h >> 1] ^= acc
+        acc ^= 1 << (h >> 1)
     sets = {k: [] for k in ("di", "i_o", "i_n", "de", "e_o", "e_n")}
-    for label in g.edge_labels:
-        live = not any(word.links(label, f) for f in g.edge_labels
-                       if rank[f] < rank[label])
-        internal = bool(mask & (1 << g._edge_index[label]))
-        if not live:
+    for ei, label in enumerate(g.edge_labels):
+        internal = (mask >> ei) & 1
+        if links[ei] & lower[ei]:
             sets["di" if internal else "de"].append(label)
-        elif word.sign(label) > 0:
+        elif signs[ei] > 0:
             sets["i_o" if internal else "e_o"].append(label)
         else:
             sets["i_n" if internal else "e_n"].append(label)
@@ -182,9 +196,9 @@ def _classify(g, rank, mask, word):
 
 def _each_quasi_tree(g, order):
     """(Q mask, activities) for every quasi-tree, checking the order once."""
-    rank = _ranks(_check_order(g, order))
+    lower = _lower_masks(g, order)
     for qmask in quasi_tree_masks(g):
-        yield qmask, _classify(g, rank, qmask, one_vertex_word(g, qmask))
+        yield qmask, _classify(g, lower, qmask)
 
 
 # ----------------------------------------------------------------------
@@ -246,41 +260,37 @@ def resolution_tree(g, order=None):
     admits exactly one quasi-tree completion.
     """
     order = _check_order(g, order)
-    qts = quasi_tree_masks(g)
     desc = [g._edge_index[label] for label in reversed(order)]
-    labels = {ei: g.edge_labels[ei] for ei in desc}
-    full = g.full_mask
     leaves = []
 
-    def viable(ones, zeros):
-        return any(q & zeros == 0 and q & ones == ones for q in qts)
-
-    def build(ones, zeros, idx):
+    def build(qs, ones, zeros, idx):
+        # qs: the quasi-trees completing this node's resolution
         node = ResolutionNode(ones, zeros)
+        split = 0
+        for q in qs:
+            split |= q ^ qs[0]
         for j in range(idx, len(desc)):
             bit = 1 << desc[j]
-            if (ones | zeros) & bit:
-                continue
-            if viable(ones, zeros | bit) and viable(ones | bit, zeros):
-                node.edge = labels[desc[j]]
-                node.zero = build(ones, zeros | bit, j + 1)
-                node.one = build(ones | bit, zeros, j + 1)
+            if split & bit:
+                node.edge = g.edge_labels[desc[j]]
+                node.zero = build([q for q in qs if not q & bit],
+                                  ones, zeros | bit, j + 1)
+                node.one = build([q for q in qs if q & bit],
+                                 ones | bit, zeros, j + 1)
                 return node
             # nugatory: the edge keeps resolution * below this node
-        done = [q for q in qts if q & zeros == 0 and q & ones == ones]
-        if len(done) != 1:
+        if len(qs) != 1:
             raise RibbonError("leaf with %d quasi-tree completions; "
                               "the resolution tree construction is broken"
-                              % len(done))
-        node.quasi_tree = done[0]
+                              % len(qs))
+        node.quasi_tree = qs[0]
         node.unresolved = frozenset(
             g.edge_labels[ei] for ei in range(len(g.edges))
             if not ((ones | zeros) >> ei) & 1)
         leaves.append(node)
         return node
 
-    root = build(0, 0, 0)
-    assert len(leaves) == len(qts)
+    root = build(quasi_tree_masks(g), 0, 0, 0)
     return ResolutionTree(g, order, root, leaves)
 
 
@@ -298,12 +308,7 @@ def quasi_tree_partition(g, order=None):
     table = {}
     for qmask, ap in _each_quasi_tree(g, order):
         vi = g.edge_mask(ap.vi)
-        free = sorted(g._edge_index[label] for label in (ap.i_o | ap.e_o))
-        for pick in range(1 << len(free)):
-            smask = 0
-            for bitpos, ei in enumerate(free):
-                if (pick >> bitpos) & 1:
-                    smask |= 1 << ei
+        for smask in _submasks(g.edge_mask(ap.i_o | ap.e_o)):
             fmask = vi | smask
             if fmask in table:
                 raise RibbonError("spanning subgraph %#x reached from two "

@@ -179,6 +179,37 @@ def test_quasitrees_marked_subgraph(tmp_path, capsys):
     assert out.splitlines() == ["Q={} DI={} I_o={} I_n={} DE={} E_o={ea} E_n={}"]
 
 
+TWISTED_MARKED_DOC = (
+    "vertex v1: h3 h5 h12 h2\n"
+    "vertex v2: h10 h9 h11 h1\n"
+    "vertex v3: h7 h6 h4 h8\n"
+    "edge e1: h1 h2 -\n"
+    "edge e2: h3 h4 -\n"
+    "edge e3: h5 h6 -\n"
+    "edge e4: h7 h8 +\n"
+    "edge e5: h9 h10 -\n"
+    "edge e6: h11 h12 -\n"
+    "marked: e1 e2 e3 e5 e6\n"
+    "order: e6 e3 e1 e5 e4 e2\n"
+)
+
+
+def test_quasitrees_twisted_marked_ordered_bytes(tmp_path, capsys):
+    path = write_doc(tmp_path, TWISTED_MARKED_DOC)
+    code, out, err = run_cli(capsys, "quasitrees", "-i", path)
+    assert code == 0 and err == ""
+    assert out == (
+        "Q={e1,e2} DI={e1,e2} I_o={} I_n={} DE={} E_o={e3,e6} E_n={e5}\n"
+        "Q={e1,e3} DI={e1} I_o={e3} I_n={} DE={e2} E_o={e6} E_n={e5}\n"
+        "Q={e1,e2,e5} DI={e1,e2} I_o={} I_n={e5} DE={} E_o={e3,e6} E_n={}\n"
+        "Q={e1,e3,e5} DI={e1} I_o={e3} I_n={e5} DE={e2} E_o={e6} E_n={}\n"
+        "Q={e2,e6} DI={e2} I_o={e6} I_n={} DE={e1} E_o={e3} E_n={e5}\n"
+        "Q={e3,e6} DI={} I_o={e3,e6} I_n={} DE={e1,e2} E_o={} E_n={e5}\n"
+        "Q={e2,e5,e6} DI={e2} I_o={e6} I_n={e5} DE={e1} E_o={e3} E_n={}\n"
+        "Q={e3,e5,e6} DI={} I_o={e3,e6} I_n={e5} DE={e1,e2} E_o={} E_n={}\n"
+    )
+
+
 def test_quasitrees_disconnected_rejected(tmp_path, capsys):
     path = write_doc(tmp_path, DISCONNECTED_DOC)
     code, _, err = run_cli(capsys, "quasitrees", "-i", path)
