@@ -94,10 +94,8 @@ def krushkal(emb):
 
 def tutte(g):
     """Whitney-rank Tutte polynomial of an ordinary multigraph."""
-    if isinstance(g, RibbonGraph):
-        g = g.underlying_graph()
     if not isinstance(g, MultiGraph):
-        raise TypeError("tutte expects a MultiGraph or RibbonGraph")
+        raise TypeError("tutte expects a MultiGraph")
     full = g.full_mask
     c_g = g.components(full)
     nv = g.n_vertices

@@ -11,9 +11,10 @@ untwisted.  Crossing liveness with internal/external and orientability
 splits E(G) into six classes, and the subsets VI(Q) union S over choices
 S of live orientable edges partition all 2^e spanning subgraphs.
 
-activities reads the classes off Q's corner walk in one pass, a running
-XOR of edge bits giving each edge the bitset of the edges linking it;
-VertexWord (one_vertex_word) spells the word out for display and tests.
+Activities and minors are edge masks internally: the classes come off
+Q's corner walk in one pass, a running XOR of edge bits giving each edge
+the bitset of the edges linking it.  ActivityPartition is their label
+view, and VertexWord (one_vertex_word) spells the word out for display.
 
 expansion_krushkal sums one closed-form term per quasi-tree.  The
 Bollobas-Riordan and Las Vergnas expansions are its images under the
@@ -39,7 +40,6 @@ __all__ = [
     "activities",
     "resolution_tree",
     "quasi_tree_partition",
-    "build_minor_graphs",
     "expansion_krushkal",
     "expansion_br",
     "expansion_lv",
@@ -158,7 +158,8 @@ def activities(g, order, q):
     one-vertex word of the partial dual, internal when it lies in q, and
     orientable when its loop in the partial dual is untwisted.
     """
-    return _classify(g, _lower_masks(g, order), g._norm_mask(q))
+    classes = _classify(g, _lower_masks(g, order), g._norm_mask(q))
+    return ActivityPartition(*map(g.mask_labels, classes))
 
 
 def _lower_masks(g, order):
@@ -171,6 +172,7 @@ def _lower_masks(g, order):
 
 
 def _classify(g, lower, mask):
+    """The masks (DI, I_o, I_n, DE, E_o, E_n) of the quasi-tree mask."""
     walks, signs = g._dual_walks(mask)
     if len(walks) + g._bare != 1:
         raise RibbonError("subgraph is not a quasi-tree (bc != 1)")
@@ -182,20 +184,20 @@ def _classify(g, lower, mask):
     for h in walks[0] if walks else ():
         links[h >> 1] ^= acc
         acc ^= 1 << (h >> 1)
-    sets = {k: [] for k in ("di", "i_o", "i_n", "de", "e_o", "e_n")}
-    for ei, label in enumerate(g.edge_labels):
-        internal = (mask >> ei) & 1
-        if links[ei] & lower[ei]:
-            sets["di" if internal else "de"].append(label)
+    dead = orientable = 0
+    for ei, row in enumerate(links):
+        if row & lower[ei]:
+            dead |= 1 << ei
         elif signs[ei] > 0:
-            sets["i_o" if internal else "e_o"].append(label)
-        else:
-            sets["i_n" if internal else "e_n"].append(label)
-    return ActivityPartition(**sets)
+            orientable |= 1 << ei
+    nonorientable = g.full_mask ^ dead ^ orientable
+    ext = g.full_mask ^ mask
+    return (dead & mask, orientable & mask, nonorientable & mask,
+            dead & ext, orientable & ext, nonorientable & ext)
 
 
 def _each_quasi_tree(g, order):
-    """(Q mask, activities) for every quasi-tree, checking the order once."""
+    """(Q mask, class masks) for every quasi-tree, checking the order once."""
     lower = _lower_masks(g, order)
     for qmask in quasi_tree_masks(g):
         yield qmask, _classify(g, lower, qmask)
@@ -306,9 +308,9 @@ def quasi_tree_partition(g, order=None):
     single-valued is the partition theorem; violations raise.
     """
     table = {}
-    for qmask, ap in _each_quasi_tree(g, order):
-        vi = g.edge_mask(ap.vi)
-        for smask in _submasks(g.edge_mask(ap.i_o | ap.e_o)):
+    for qmask, (di, i_o, i_n, _, e_o, _) in _each_quasi_tree(g, order):
+        vi = di | i_n
+        for smask in _submasks(i_o | e_o):
             fmask = vi | smask
             if fmask in table:
                 raise RibbonError("spanning subgraph %#x reached from two "
@@ -321,50 +323,32 @@ def quasi_tree_partition(g, order=None):
 
 
 # ----------------------------------------------------------------------
-# minor graphs and the expansions
+# the expansions
 
 
-def _contracted_multigraph(graph, base_mask, edge_labels):
-    """The ordinary graph on the components of base_mask, with the given
-    edges of `graph` re-attached to the components of their endpoints."""
-    comp = graph.components(base_mask, labels=True)
-    names = ["c%d" % i for i in range(max(comp, default=-1) + 1)]
-    eds = []
-    for label in sorted(edge_labels, key=graph._edge_index.get):
-        a, b = graph._ends[graph._edge_index[label]]
-        eds.append((label, names[comp[a]], names[comp[b]]))
-    return MultiGraph(names, eds)
-
-
-def build_minor_graphs(g, order, q, dual=None, ap=None):
-    """(G_Q, G*_Q*): vertices are the components of F_VI (resp. R_VE in
-    the dual), edges the live orientable internal (resp. external) ones.
-    order is only read when ap, the activities of q, is not given."""
-    if ap is None:
-        ap = activities(g, order, q)
-    if dual is None:
-        dual = g.dual()
-    gq = _contracted_multigraph(g, g.edge_mask(ap.vi), ap.i_o)
-    gstar = _contracted_multigraph(dual, dual.edge_mask(ap.ve), ap.e_o)
-    return gq, gstar
-
-
-def _substituted_tutte(memo, graph, bindings):
-    """tutte(graph).substitute(bindings), memoized on the exact structure
-    of the graph: the Tutte polynomial does not read the edge labels, and
-    the minors of different quasi-trees often coincide."""
-    key = (graph.n_vertices, graph._ends)
+def _minor_tutte(memo, graph, base, edges, bindings):
+    """(vertex count, substituted Tutte polynomial) of the minor on the
+    components of base with the edges in the mask edges re-attached.  The
+    polynomial reads no labels and minors of different quasi-trees often
+    coincide, so it is memoized on (vertex count, end pairs)."""
+    comp = graph.components(base, labels=True)
+    pairs = tuple((comp[a], comp[b]) for ei, (a, b) in enumerate(graph._ends)
+                  if (edges >> ei) & 1)
+    key = (max(comp) + 1, pairs)
     poly = memo.get(key)
     if poly is None:
-        poly = memo[key] = tutte(graph).substitute(bindings)
-    return poly
+        minor = MultiGraph(range(key[0]), [(i,) + p for i, p in enumerate(pairs)])
+        poly = memo[key] = tutte(minor).substitute(bindings)
+    return key[0], poly
 
 
 def expansion_krushkal(emb, order=None):
     """Quasi-tree expansion of the Krushkal polynomial.
 
     Sum over quasi-trees of
-    T_{G_Q}(X, A) T_{G*_Q*}(Y, B) A^(s(F_VI)/2) B^(s(R_VE)/2).
+    T_{G_Q}(X, A) T_{G*_Q*}(Y, B) A^(s(F_VI)/2) B^(s(R_VE)/2),
+    where G_Q has the components of F_VI as vertices and the I_o edges,
+    and G*_Q* the components of R_VE in the dual and the E_o edges.
     Needs a connected cellular embedding.
     """
     if isinstance(emb, RibbonGraph):
@@ -378,17 +362,17 @@ def expansion_krushkal(emb, order=None):
     outer = {"X": var("Y"), "Y": var("B")}
     memo_in, memo_out = {}, {}
     acc = {}
-    for qmask, ap in _each_quasi_tree(g, order):
-        gq, gstar = build_minor_graphs(g, order, qmask, d, ap)
-        t_in = _substituted_tutte(memo_in, gq, inner)
-        t_out = _substituted_tutte(memo_out, gstar, outer)
+    for _, (di, i_o, i_n, de, e_o, e_n) in _each_quasi_tree(g, order):
+        vi, ve = di | i_n, de | e_n
+        nv_in, t_in = _minor_tutte(memo_in, g, vi, i_o, inner)
+        nv_out, t_out = _minor_tutte(memo_out, d, ve, e_o, outer)
         # A^(s/2) and B^(s/2) shift the doubled A and B exponents by s;
         # s = 2c - v + e - bc with c(F_VI) = v(G_Q), bc(F_VI) = |I_o| + 1
         # and, in the dual, c(R_VE) = v(G*_Q*), bc(R_VE) = |E_o| + 1
-        s_vi = (2 * gq.n_vertices - g.n_vertices + len(ap.vi)
-                - len(ap.i_o) - 1)
-        s_ve = (2 * gstar.n_vertices - d.n_vertices + len(ap.ve)
-                - len(ap.e_o) - 1)
+        s_vi = (2 * nv_in - g.n_vertices + vi.bit_count()
+                - i_o.bit_count() - 1)
+        s_ve = (2 * nv_out - d.n_vertices + ve.bit_count()
+                - e_o.bit_count() - 1)
         for (x, y, a, b, z), c in (t_in * t_out).items_doubled():
             key = (x, y, a + s_vi, b + s_ve, z)
             acc[key] = acc.get(key, 0) + c

@@ -7,7 +7,7 @@ import pytest
 
 from qpoly import checks as checks_mod
 from qpoly.cli import main
-from qpoly.ribbon import EmbeddedGraph, RibbonError
+from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 from qpoly.textio import parse, random_graph, serialize
 
 from fixture_graphs import FIXTURES, t1
@@ -149,6 +149,17 @@ def test_check_battery_completes_above_16_edges():
     assert all(status != "FAIL" for _, status, _ in results)
     assert ("partial-dual-composition", "SKIP",
             "more than 16 edges") in results
+
+
+def test_euler_genus_catches_a_lost_boundary_circle(monkeypatch):
+    emb, order = parse(T1_DOC)
+    euler_genus = dict(checks_mod.CHECKS)["euler-genus"]
+    assert euler_genus(emb, order) == ("PASS", "")
+    walk = RibbonGraph.boundary_components
+    monkeypatch.setattr(RibbonGraph, "boundary_components",
+                        lambda self, edges=None: walk(self, edges) - 1)
+    status, detail = euler_genus(emb, order)
+    assert status == "FAIL" and detail.startswith("Euler count broken")
 
 
 def test_quasitrees_t1(tmp_path, capsys):

@@ -8,8 +8,10 @@ from qpoly.invariants import bollobas_riordan, krushkal, las_vergnas
 from qpoly.laurent import parse_poly
 from qpoly.quasitrees import (
     VertexWord,
+    _classify,
+    _lower_masks,
+    _minor_tutte,
     activities,
-    build_minor_graphs,
     expansion_br,
     expansion_krushkal,
     expansion_lv,
@@ -280,12 +282,13 @@ def test_lemma_conn_and_bc():
 
 
 def test_genus_shift_along_internal_edges():
-    # s(F_{VI u S1 u S2}) = s(F_VI) + 2 n_{G_Q}(S1)
+    # s(F_{VI u S1 u S2}) = s(F_VI) + 2 n_{G_Q}(S1), where G_Q has the
+    # components of F_VI as vertices, so
+    # n_{G_Q}(S1) = |S1| - c_G(F_VI) + c_G(F_VI u S1)
     for name, make in CONNECTED.items():
         g = make()
         for qmask in quasi_tree_masks(g):
             ap = activities(g, None, qmask)
-            gq, _ = build_minor_graphs(g, None, qmask, ap=ap)
             vi = g.edge_mask(ap.vi)
             io = sorted(ap.i_o, key=g._edge_index.get)
             eo = sorted(ap.e_o, key=g._edge_index.get)
@@ -293,7 +296,8 @@ def test_genus_shift_along_internal_edges():
             for p1 in range(1 << len(io)):
                 picked = [io[i] for i in range(len(io)) if (p1 >> i) & 1]
                 s1 = g.edge_mask(picked)
-                bump = 2 * gq.nullity(gq.edge_mask(picked))
+                bump = 2 * (len(picked) - g.components(vi)
+                            + g.components(vi | s1))
                 for p2 in range(1 << len(eo)):
                     s2 = g.edge_mask([eo[i] for i in range(len(eo))
                                       if (p2 >> i) & 1])
@@ -304,20 +308,28 @@ def test_genus_shift_along_internal_edges():
 # minor graphs
 
 
-def test_build_minor_graphs_t1():
+def minor_counts(g, order, q):
+    """(vertices, edges) of G_Q and of G*_Q*, read off the memo key that
+    _minor_tutte files each minor's Tutte polynomial under."""
+    di, i_o, i_n, de, e_o, e_n = _classify(g, _lower_masks(g, order), q)
+    counts = []
+    for graph, base, edges in ((g, di | i_n, i_o), (g.dual(), de | e_n, e_o)):
+        memo = {}
+        n_vertices, poly = _minor_tutte(memo, graph, base, edges, {})
+        [(key, value)] = memo.items()
+        assert key[0] == n_vertices and value is poly
+        counts.append((n_vertices, len(key[1])))
+    return counts
+
+
+def test_minor_graphs_t1():
     g = t1()
-    gq, gstar = build_minor_graphs(g, ["ea", "eb"], g.full_mask)
-    assert gq.n_vertices == 1 and gq.edge_labels == ("ea",)
-    assert gstar.n_vertices == 1 and gstar.n_edges == 0
-    gq, gstar = build_minor_graphs(g, ["ea", "eb"], 0)
-    assert gq.n_vertices == 1 and gq.n_edges == 0
-    assert gstar.n_vertices == 1 and gstar.edge_labels == ("ea",)
+    assert minor_counts(g, ["ea", "eb"], g.full_mask) == [(1, 1), (1, 0)]
+    assert minor_counts(g, ["ea", "eb"], 0) == [(1, 0), (1, 1)]
 
 
-def test_build_minor_graphs_m1():
-    gq, gstar = build_minor_graphs(m1(), None, 1)
-    assert gq.n_vertices == 1 and gq.n_edges == 0
-    assert gstar.n_vertices == 1 and gstar.n_edges == 0
+def test_minor_graphs_m1():
+    assert minor_counts(m1(), None, 1) == [(1, 0), (1, 0)]
 
 
 # ----------------------------------------------------------------------
