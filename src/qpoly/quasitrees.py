@@ -11,10 +11,19 @@ untwisted.  Crossing liveness with internal/external and orientability
 splits E(G) into six classes, and the subsets VI(Q) union S over choices
 S of live orientable edges partition all 2^e spanning subgraphs.
 
-Activities and minors are edge masks internally: the classes come off
-Q's corner walk in one pass, a running XOR of edge bits giving each edge
-the bitset of the edges linking it.  ActivityPartition is their label
-view, and VertexWord (one_vertex_word) spells the word out for display.
+Everything is edge masks internally.  The interlace matrix A_Q of the
+word (A[e][f] = 1 when e and f link, A[e][e] = 1 when e's loop is
+twisted) is kept as int bitset rows, and the quasi-trees are Q xor X for
+the sets X with A_Q[X] nonsingular over GF(2) (Bouchet's delta-matroid of
+the map).  The expansions and the resolution tree come from one descent
+of that tree: it starts at a spanning tree, reads its rows off the corner
+walk once, and reaches each other quasi-tree by a principal pivot
+transform of the rows on one or two edges, so it costs about the number
+of quasi-trees and never scans the 2^e subsets.  Liveness is one AND of a
+row with the mask of the lower edges, orientability the diagonal bit.
+quasi_tree_masks stays the 2^e boundary-walk scan, the independent oracle
+of the descent.  ActivityPartition is the label view of the class masks,
+and VertexWord (one_vertex_word) spells the word out for display.
 
 expansion_krushkal sums one closed-form term per quasi-tree.  The
 Bollobas-Riordan and Las Vergnas expansions are its images under the
@@ -28,7 +37,7 @@ from __future__ import annotations
 from .graphs import MultiGraph
 from .invariants import PolyKind, _submasks, specialize, tutte
 from .laurent import LaurentPoly
-from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph
+from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _iter_bits
 
 __all__ = [
     "VertexWord",
@@ -158,7 +167,9 @@ def activities(g, order, q):
     one-vertex word of the partial dual, internal when it lies in q, and
     orientable when its loop in the partial dual is untwisted.
     """
-    classes = _classify(g, _lower_masks(g, order), g._norm_mask(q))
+    lower = _lower_masks(g, order)
+    mask = g._norm_mask(q)
+    classes = _classes(_walk_rows(g, mask), lower, mask)
     return ActivityPartition(*map(g.mask_labels, classes))
 
 
@@ -171,36 +182,138 @@ def _lower_masks(g, order):
     return lower
 
 
-def _classify(g, lower, mask):
-    """The masks (DI, I_o, I_n, DE, E_o, E_n) of the quasi-tree mask."""
+def _walk_rows(g, mask):
+    """The rows of the interlace matrix of the quasi-tree mask, read off
+    its corner walk: bit f of row e is set when e and f link in the vertex
+    word, bit e when e's loop there is twisted."""
     walks, signs = g._dual_walks(mask)
     if len(walks) + g._bare != 1:
         raise RibbonError("subgraph is not a quasi-tree (bc != 1)")
     # acc is the running XOR of edge bits along the one vertex word; its
     # values just before the two ends of e differ in e's own bit and in the
     # bits flipped once in between, which are exactly the edges linking e
-    links = [0] * len(g.edges)
+    rows = [0] * len(g.edges)
     acc = 0
     for h in walks[0] if walks else ():
-        links[h >> 1] ^= acc
+        rows[h >> 1] ^= acc
         acc ^= 1 << (h >> 1)
+    # e's own bit is left set in its row; it stays only if e is twisted
+    for ei, sign in enumerate(signs):
+        if sign > 0:
+            rows[ei] ^= 1 << ei
+    return rows
+
+
+def _classes(rows, lower, mask):
+    """The masks (DI, I_o, I_n, DE, E_o, E_n) of the quasi-tree mask with
+    interlace rows rows: e is dead when a lower edge links it and
+    orientable when its diagonal bit is 0."""
     dead = orientable = 0
-    for ei, row in enumerate(links):
+    for ei, row in enumerate(rows):
         if row & lower[ei]:
             dead |= 1 << ei
-        elif signs[ei] > 0:
+        elif not (row >> ei) & 1:
             orientable |= 1 << ei
-    nonorientable = g.full_mask ^ dead ^ orientable
-    ext = g.full_mask ^ mask
+    full = (1 << len(rows)) - 1
+    nonorientable = full ^ dead ^ orientable
+    ext = full ^ mask
     return (dead & mask, orientable & mask, nonorientable & mask,
             dead & ext, orientable & ext, nonorientable & ext)
 
 
+def _spanning_tree(g):
+    """A spanning tree of the connected graph g, as a mask.  Its ribbon
+    neighbourhood is a disc, so it is a quasi-tree."""
+    reached, tree, grown = 1, 0, True
+    while grown:
+        grown = False
+        for ei, (a, b) in enumerate(g._ends):
+            if (reached >> a) & 1 != (reached >> b) & 1:
+                reached |= 1 << a | 1 << b
+                tree |= 1 << ei
+                grown = True
+    return tree
+
+
+def _pivot(rows, e, free):
+    """(X, rows of the interlace matrix of Q xor X) for the principal
+    pivot transform of Q's rows on X = {e} if e's diagonal bit is set, else
+    on X = {e, f} for the lowest f in free linking e.  A[X] is then
+    nonsingular over GF(2), so Q xor X is a quasi-tree."""
+    rows = list(rows)
+    be = 1 << e
+    re = rows[e]
+    if re & be:
+        # inverse block [1]: row e stays and every row linking e adds it
+        # off the diagonal
+        off = re ^ be
+        for i in _iter_bits(off):
+            rows[i] ^= off
+        return be, rows
+    # A[X] = [[0, 1], [1, a]] with a = A[f][f] has inverse [[a, 1], [1, 0]]
+    bf = re & free & -(re & free)
+    f = bf.bit_length() - 1
+    x = be | bf
+    rf = rows[f]
+    ye, yf = re & ~x, rf & ~x
+    rows[e] = (yf | bf) ^ (ye | be if rf & bf else 0)
+    rows[f] = ye | be
+    for i in _iter_bits(ye | yf):
+        row = rows[i]
+        new = row & ~x
+        if row & be:
+            new ^= rows[e]
+        if row & bf:
+            new ^= rows[f]
+        rows[i] = new
+    return x, rows
+
+
+def _descent(g, lower):
+    """The resolution tree of g under the order given by lower, in pre-order
+    with the 0-child first: (edge index, ones, zeros, Q, rows) at a node
+    branching on that edge, (None, ones, zeros, Q, rows) at a leaf.  Q is a
+    quasi-tree completing the node's resolution (the one, at a leaf) and
+    rows the interlace rows of Q's vertex word.
+
+    The quasi-trees completing a node are Q xor X for the sets X of edges
+    not yet examined with A_Q[X] nonsingular over GF(2) (Bouchet), so the
+    next edge e branches exactly when its row meets those edges; otherwise
+    it is nugatory.  The child agreeing with Q on e keeps (Q, rows), the
+    other one pivots.
+    """
+    if g.components() != 1:
+        raise RibbonError("quasi-trees are defined for connected graphs")
+    desc = sorted(range(len(lower)), key=lower.__getitem__, reverse=True)
+    q = _spanning_tree(g)
+    stack = [(0, 0, 0, q, _walk_rows(g, q))]
+    while stack:
+        j, ones, zeros, q, rows = stack.pop()
+        for j in range(j, len(desc)):
+            ei = desc[j]
+            free = lower[ei] | 1 << ei
+            if rows[ei] & free:
+                break
+        else:
+            yield None, ones, zeros, q, rows
+            continue
+        yield ei, ones, zeros, q, rows
+        bit = 1 << ei
+        x, flipped = _pivot(rows, ei, free)
+        keep = (q, rows)
+        flip = (q ^ x, flipped)
+        one, zero = (keep, flip) if q & bit else (flip, keep)
+        stack.append((j + 1, ones | bit, zeros) + one)
+        stack.append((j + 1, ones, zeros | bit) + zero)
+
+
 def _each_quasi_tree(g, order):
-    """(Q mask, class masks) for every quasi-tree, checking the order once."""
+    """(Q mask, class masks) for every quasi-tree: the leaves of the
+    descent, in resolution-tree order."""
     lower = _lower_masks(g, order)
-    for qmask in quasi_tree_masks(g):
-        yield qmask, _classify(g, lower, qmask)
+    for ei, _, _, q, rows in _descent(g, lower):
+        if ei is None:
+            yield q, _classes(rows, lower, q)
 
 
 # ----------------------------------------------------------------------
@@ -262,37 +375,24 @@ def resolution_tree(g, order=None):
     admits exactly one quasi-tree completion.
     """
     order = _check_order(g, order)
-    desc = [g._edge_index[label] for label in reversed(order)]
+    steps = _descent(g, _lower_masks(g, order))
     leaves = []
 
-    def build(qs, ones, zeros, idx):
-        # qs: the quasi-trees completing this node's resolution
+    def build():
+        ei, ones, zeros, q, _ = next(steps)
         node = ResolutionNode(ones, zeros)
-        split = 0
-        for q in qs:
-            split |= q ^ qs[0]
-        for j in range(idx, len(desc)):
-            bit = 1 << desc[j]
-            if split & bit:
-                node.edge = g.edge_labels[desc[j]]
-                node.zero = build([q for q in qs if not q & bit],
-                                  ones, zeros | bit, j + 1)
-                node.one = build([q for q in qs if q & bit],
-                                 ones | bit, zeros, j + 1)
-                return node
-            # nugatory: the edge keeps resolution * below this node
-        if len(qs) != 1:
-            raise RibbonError("leaf with %d quasi-tree completions; "
-                              "the resolution tree construction is broken"
-                              % len(qs))
-        node.quasi_tree = qs[0]
-        node.unresolved = frozenset(
-            g.edge_labels[ei] for ei in range(len(g.edges))
-            if not ((ones | zeros) >> ei) & 1)
-        leaves.append(node)
+        if ei is None:
+            node.quasi_tree = q
+            node.unresolved = frozenset(
+                g.mask_labels(g.full_mask ^ ones ^ zeros))
+            leaves.append(node)
+        else:
+            node.edge = g.edge_labels[ei]
+            node.zero = build()
+            node.one = build()
         return node
 
-    root = build(quasi_tree_masks(g), 0, 0, 0)
+    root = build()
     return ResolutionTree(g, order, root, leaves)
 
 
@@ -326,20 +426,22 @@ def quasi_tree_partition(g, order=None):
 # the expansions
 
 
-def _minor_tutte(memo, graph, base, edges, bindings):
-    """(vertex count, substituted Tutte polynomial) of the minor on the
-    components of base with the edges in the mask edges re-attached.  The
-    polynomial reads no labels and minors of different quasi-trees often
-    coincide, so it is memoized on (vertex count, end pairs)."""
+def _minor_key(graph, base, edges):
+    """(vertex count, end pairs) of the minor on the components of base
+    with the edges in the mask edges re-attached: all that its Tutte
+    polynomial reads.  Minors of different quasi-trees often coincide."""
     comp = graph.components(base, labels=True)
     pairs = tuple((comp[a], comp[b]) for ei, (a, b) in enumerate(graph._ends)
                   if (edges >> ei) & 1)
-    key = (max(comp) + 1, pairs)
-    poly = memo.get(key)
-    if poly is None:
-        minor = MultiGraph(range(key[0]), [(i,) + p for i, p in enumerate(pairs)])
-        poly = memo[key] = tutte(minor).substitute(bindings)
-    return key[0], poly
+    return max(comp) + 1, pairs
+
+
+def _minor_tutte(key, bindings):
+    """The Tutte polynomial of the minor with this key, substituted."""
+    n_vertices, pairs = key
+    minor = MultiGraph(range(n_vertices),
+                       [(i,) + p for i, p in enumerate(pairs)])
+    return tutte(minor).substitute(bindings)
 
 
 def expansion_krushkal(emb, order=None):
@@ -357,25 +459,33 @@ def expansion_krushkal(emb, order=None):
         raise RibbonError("the Krushkal expansion needs a cellular embedding")
     g = emb.cellulation
     d = emb.dual_cellulation
-    var = LaurentPoly.variable
-    inner = {"Y": var("A")}
-    outer = {"X": var("Y"), "Y": var("B")}
-    memo_in, memo_out = {}, {}
-    acc = {}
+    # a term depends only on the two minors and the two shifts, so count
+    # the quasi-trees per distinct term and multiply once per term
+    tally = {}
     for _, (di, i_o, i_n, de, e_o, e_n) in _each_quasi_tree(g, order):
         vi, ve = di | i_n, de | e_n
-        nv_in, t_in = _minor_tutte(memo_in, g, vi, i_o, inner)
-        nv_out, t_out = _minor_tutte(memo_out, d, ve, e_o, outer)
+        key_in = _minor_key(g, vi, i_o)
+        key_out = _minor_key(d, ve, e_o)
         # A^(s/2) and B^(s/2) shift the doubled A and B exponents by s;
         # s = 2c - v + e - bc with c(F_VI) = v(G_Q), bc(F_VI) = |I_o| + 1
         # and, in the dual, c(R_VE) = v(G*_Q*), bc(R_VE) = |E_o| + 1
-        s_vi = (2 * nv_in - g.n_vertices + vi.bit_count()
+        s_vi = (2 * key_in[0] - g.n_vertices + vi.bit_count()
                 - i_o.bit_count() - 1)
-        s_ve = (2 * nv_out - d.n_vertices + ve.bit_count()
+        s_ve = (2 * key_out[0] - d.n_vertices + ve.bit_count()
                 - e_o.bit_count() - 1)
-        for (x, y, a, b, z), c in (t_in * t_out).items_doubled():
+        term = (key_in, key_out, s_vi, s_ve)
+        tally[term] = tally.get(term, 0) + 1
+    var = LaurentPoly.variable
+    inner = {"Y": var("A")}
+    outer = {"X": var("Y"), "Y": var("B")}
+    t_in = {k: _minor_tutte(k, inner) for k in {t[0] for t in tally}}
+    t_out = {k: _minor_tutte(k, outer) for k in {t[1] for t in tally}}
+    acc = {}
+    for (key_in, key_out, s_vi, s_ve), n in tally.items():
+        product = t_in[key_in] * t_out[key_out]
+        for (x, y, a, b, z), c in product.items_doubled():
             key = (x, y, a + s_vi, b + s_ve, z)
-            acc[key] = acc.get(key, 0) + c
+            acc[key] = acc.get(key, 0) + n * c
     return LaurentPoly(acc)
 
 

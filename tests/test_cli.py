@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qpoly import checks as checks_mod
+from qpoly import quasitrees as quasitrees_mod
 from qpoly.cli import main
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 from qpoly.textio import parse, random_graph, serialize
@@ -160,6 +161,64 @@ def test_euler_genus_catches_a_lost_boundary_circle(monkeypatch):
                         lambda self, edges=None: walk(self, edges) - 1)
     status, detail = euler_genus(emb, order)
     assert status == "FAIL" and detail.startswith("Euler count broken")
+
+
+KRUSHKAL_IDENTITIES = ("duality-swap", "tutte-specialization", "br-chain",
+                       "lv-chain", "krushkal-expansion",
+                       "deletion-contraction")
+
+
+def test_check_sums_brute_krushkal_once_per_battery(monkeypatch):
+    emb = EmbeddedGraph(random_graph(3, 8, Fraction(3, 10), seed=7))
+    sums = []
+    krushkal = checks_mod.krushkal
+
+    def counted(doc):
+        sums.append(doc)
+        return krushkal(doc)
+
+    monkeypatch.setattr(checks_mod, "krushkal", counted)
+    for _ in range(2):
+        sums.clear()
+        results = checks_mod.run_checks(emb, emb.cellulation.edge_labels)
+        assert all(status != "FAIL" for _, status, _ in results)
+        assert sum(doc is emb for doc in sums) == 1
+
+
+def test_check_reports_raising_krushkal_in_each_identity(monkeypatch):
+    emb, order = parse(T1_DOC)
+    sums = []
+    krushkal = checks_mod.krushkal
+
+    def rigged(doc):
+        if doc is emb:
+            sums.append(doc)
+            raise RibbonError("rigged to raise")
+        return krushkal(doc)
+
+    monkeypatch.setattr(checks_mod, "krushkal", rigged)
+    results = checks_mod.run_checks(emb, order)
+    assert [name for name, _, _ in results] == \
+        [name for name, _ in checks_mod.CHECKS]
+    assert len(sums) == 1
+    for name, status, detail in results:
+        if name in KRUSHKAL_IDENTITIES:
+            assert (status, detail) == ("FAIL", "RibbonError: rigged to raise")
+        else:
+            assert status != "FAIL", name
+
+
+def test_quasitree_partition_catches_a_dropped_quasi_tree(monkeypatch):
+    emb, order = parse(T1_DOC)
+    partition = dict(checks_mod.CHECKS)["quasitree-partition"]
+    assert partition(emb, order) == ("PASS", "")
+    # drop one quasi-tree from the scan wherever it is bound: the
+    # resolution tree must not be built from it
+    scan = quasitrees_mod.quasi_tree_masks
+    for module in (checks_mod, quasitrees_mod):
+        monkeypatch.setattr(module, "quasi_tree_masks", lambda g: scan(g)[1:])
+    assert partition(emb, order) == (
+        "FAIL", "leaf count differs from the quasi-tree count")
 
 
 def test_quasitrees_t1(tmp_path, capsys):

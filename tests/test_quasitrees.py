@@ -8,9 +8,10 @@ from qpoly.invariants import bollobas_riordan, krushkal, las_vergnas
 from qpoly.laurent import parse_poly
 from qpoly.quasitrees import (
     VertexWord,
-    _classify,
+    _classes,
     _lower_masks,
-    _minor_tutte,
+    _minor_key,
+    _walk_rows,
     activities,
     expansion_br,
     expansion_krushkal,
@@ -309,17 +310,13 @@ def test_genus_shift_along_internal_edges():
 
 
 def minor_counts(g, order, q):
-    """(vertices, edges) of G_Q and of G*_Q*, read off the memo key that
-    _minor_tutte files each minor's Tutte polynomial under."""
-    di, i_o, i_n, de, e_o, e_n = _classify(g, _lower_masks(g, order), q)
-    counts = []
-    for graph, base, edges in ((g, di | i_n, i_o), (g.dual(), de | e_n, e_o)):
-        memo = {}
-        n_vertices, poly = _minor_tutte(memo, graph, base, edges, {})
-        [(key, value)] = memo.items()
-        assert key[0] == n_vertices and value is poly
-        counts.append((n_vertices, len(key[1])))
-    return counts
+    """(vertices, edges) of G_Q and of G*_Q*, read off the key under which
+    expansion_krushkal tallies each minor."""
+    di, i_o, i_n, de, e_o, e_n = _classes(_walk_rows(g, q),
+                                          _lower_masks(g, order), q)
+    return [(key[0], len(key[1]))
+            for key in (_minor_key(g, di | i_n, i_o),
+                        _minor_key(g.dual(), de | e_n, e_o))]
 
 
 def test_minor_graphs_t1():

@@ -1,6 +1,8 @@
-"""The bitset activities and resolution tree against reference copies of
-the direct constructions: pairwise VertexWord.links for liveness, and a
-resolution tree that re-scans the whole quasi-tree list at every node."""
+"""The bitset activities, the interlace descent and the resolution tree
+against reference constructions: pairwise VertexWord.links for liveness,
+the 2^e boundary-walk scan for the quasi-trees, the corner walk of each
+quasi-tree for its interlace rows, and a resolution tree that re-scans the
+whole quasi-tree list at every node."""
 
 import random
 
@@ -8,12 +10,18 @@ import pytest
 
 from qpoly.quasitrees import (
     ActivityPartition,
+    _classes,
+    _descent,
+    _each_quasi_tree,
+    _lower_masks,
+    _walk_rows,
     activities,
+    expansion_krushkal,
     one_vertex_word,
     quasi_tree_masks,
     resolution_tree,
 )
-from qpoly.ribbon import RibbonError
+from qpoly.ribbon import RibbonError, RibbonGraph
 
 from fixture_graphs import FIXTURES, random_twisted_graphs
 
@@ -116,3 +124,44 @@ def test_activities_reject_non_quasi_trees_like_the_word(name, g):
             reference_activities(g, g.edge_labels, mask)
         assert str(ours.value) == str(ref.value) == \
             "subgraph is not a quasi-tree (bc != 1)"
+
+
+@pytest.mark.parametrize("name,g,order", CASES, ids=[c[0] for c in CASES])
+def test_descent_leaves_match_the_scan_and_the_walk(name, g, order):
+    lower = _lower_masks(g, order)
+    leaves = [(q, rows) for ei, _, _, q, rows in _descent(g, lower)
+              if ei is None]
+    assert sorted(q for q, _ in leaves) == quasi_tree_masks(g), name
+    for q, rows in leaves:
+        assert rows == _walk_rows(g, q), (name, q)
+        classes = _classes(rows, lower, q)
+        assert classes == _classes(_walk_rows(g, q), lower, q), (name, q)
+        assert ActivityPartition(*map(g.mask_labels, classes)) == \
+            reference_activities(g, order, q), (name, q)
+    assert [q for q, _ in _each_quasi_tree(g, order)] == \
+        [q for q, _ in leaves]
+
+
+def test_descent_on_edgeless_and_disconnected_graphs():
+    bare = RibbonGraph([("v", ())], [])
+    tree = resolution_tree(bare)
+    assert tree.leaf_count == 1 and tree.root.is_leaf
+    assert (tree.root.quasi_tree, tree.root.unresolved) == (0, frozenset())
+    assert list(_each_quasi_tree(bare, None)) == [(0, (0,) * 6)]
+    assert expansion_krushkal(bare) == 1
+    disconnected = [
+        RibbonGraph([("u", ()), ("w", ())], []),
+        RibbonGraph([("u", ("a1", "a2")), ("w", ())],
+                    [("e1", ("a1", "a2"), "-")]),
+    ]
+    for g in disconnected:
+        for build in (resolution_tree, expansion_krushkal,
+                      lambda g: list(_each_quasi_tree(g, None))):
+            with pytest.raises(RibbonError) as err:
+                build(g)
+            assert str(err.value) == \
+                "quasi-trees are defined for connected graphs"
+        with pytest.raises(RibbonError) as err:
+            resolution_tree(g, ["nope"])
+        assert str(err.value) == \
+            "edge order must be a permutation of the edge labels"

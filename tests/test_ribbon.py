@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qpoly.graphs import MultiGraph
-from qpoly.quasitrees import _minor_tutte
+from qpoly.quasitrees import _minor_key
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 from qpoly.textio import random_graph
 
@@ -425,7 +425,7 @@ def test_component_counts_agree_on_random_masks():
             c = g.components(mask)
             assert mg.components(mask) == c
             assert len(g.restrict(mask).split_components()) == c
-            assert _minor_tutte({}, g, mask, 0, {})[0] == c
+            assert _minor_key(g, mask, 0)[0] == c
             labels = g.components(mask, labels=True)
             assert sorted(set(labels)) == list(range(c))
 
