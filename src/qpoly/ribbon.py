@@ -292,36 +292,39 @@ class RibbonGraph:
 
     def is_orientable(self, edges=None):
         """Whether some vertex-flip assignment clears every twist of the
-        subgraph; a twisted loop is immediately non-orientable."""
+        subgraph; a twisted loop is never cleared."""
         mask = self._norm_mask(edges)
+        flip = self._flips(mask)
+        for ei in _iter_bits(mask):
+            a, b = self._ends[ei]
+            if self._sign[ei] * flip[a] * flip[b] < 0:
+                return False
+        return True
+
+    def _flips(self, mask):
+        """A flip sign per vertex, +1 or -1, that clears the twist of every
+        edge of a spanning forest of the subgraph: each vertex takes its
+        sign across the edge that first reaches it, roots keep +1."""
         nv = len(self.vertices)
         adj = [[] for _ in range(nv)]
         for ei in _iter_bits(mask):
             a, b = self._ends[ei]
             s = self._sign[ei]
-            if a == b:
-                if s < 0:
-                    return False
-            else:
-                adj[a].append((b, s))
-                adj[b].append((a, s))
-        sig = [0] * nv
+            adj[a].append((b, s))
+            adj[b].append((a, s))
+        flip = [0] * nv
         for start in range(nv):
-            if sig[start]:
+            if flip[start]:
                 continue
-            sig[start] = 1
+            flip[start] = 1
             stack = [start]
             while stack:
                 x = stack.pop()
-                sx = sig[x]
                 for y, s in adj[x]:
-                    want = sx * s
-                    if sig[y] == 0:
-                        sig[y] = want
+                    if not flip[y]:
+                        flip[y] = flip[x] * s
                         stack.append(y)
-                    elif sig[y] != want:
-                        return False
-        return True
+        return flip
 
     def subgraph_profile(self):
         """The (c, bc, s, n) vector of every edge subset, indexed by mask.
@@ -338,6 +341,45 @@ class RibbonGraph:
             k = mask.bit_count()
             out.append((c, bc, 2 * c - nv + k - bc, k - nv + c))
         return tuple(out)
+
+    def switching_form(self):
+        """A canonical form of the ribbon graph up to vertex flips.
+
+        Two graphs have equal forms exactly when one becomes the other by
+        flipping vertices (reversing a rotation and toggling the twist of
+        every non-loop edge with one end there), renaming vertices,
+        rotating a rotation cyclically and swapping the two half-edge
+        labels of an edge.  Only edge labels are read, because
+        partial_dual may swap half-edge labels.  Per component: flip
+        vertices until the spanning forest that is least by sorted edge
+        label is untwisted, which fixes the flips up to flipping every
+        vertex; write each vertex as the cyclic minimum of its word of
+        edge labels, reversed at a flipped vertex; and keep the smaller of
+        the two global flips.  The twisted edges, which a global flip
+        keeps, are recorded once for the whole graph.
+        """
+        labels = self.edge_labels
+        forest = 0
+        comp = self.components(forest, labels=True)
+        for ei in sorted(range(len(labels)), key=labels.__getitem__):
+            a, b = self._ends[ei]
+            if comp[a] != comp[b]:
+                forest |= 1 << ei
+                comp = self.components(forest, labels=True)
+        flip = self._flips(forest)
+        sides = [([], []) for _ in range(max(comp, default=-1) + 1)]
+        for v, rot in enumerate(self._rot_idx):
+            word = tuple(labels[h >> 1] for h in rot)
+            if flip[v] < 0:
+                word = word[::-1]
+            kept, flipped = sides[comp[v]]
+            kept.append(_cyclic_min(word))
+            flipped.append(_cyclic_min(word[::-1]))
+        twisted = sorted(labels[ei] for ei, (a, b) in enumerate(self._ends)
+                         if self._sign[ei] * flip[a] * flip[b] < 0)
+        return (tuple(sorted(min(tuple(sorted(kept)), tuple(sorted(flipped)))
+                             for kept, flipped in sides)),
+                tuple(twisted))
 
     # ------------------------------------------------------------------
     # duality

@@ -148,8 +148,18 @@ def test_check_battery_completes_above_16_edges():
     results = checks_mod.run_checks(emb, emb.cellulation.edge_labels)
     assert len(results) == len(checks_mod.CHECKS)
     assert all(status != "FAIL" for _, status, _ in results)
-    assert ("partial-dual-composition", "SKIP",
-            "more than 16 edges") in results
+    assert ("partial-dual-composition", "PASS", "") in results
+    assert ("dual-involution", "PASS", "") in results
+
+
+def test_check_compares_partial_duals_at_16_edges(tmp_path, capsys):
+    emb = EmbeddedGraph(random_graph(5, 16, Fraction(3, 10), seed=7))
+    path = write_doc(tmp_path, serialize(emb.cellulation))
+    code, out, err = run_cli(capsys, "check", "-i", path)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "PASS dual-involution" in lines
+    assert "PASS partial-dual-composition" in lines
 
 
 def test_euler_genus_catches_a_lost_boundary_circle(monkeypatch):
@@ -203,6 +213,44 @@ def test_check_reports_raising_krushkal_in_each_identity(monkeypatch):
     assert len(sums) == 1
     for name, status, detail in results:
         if name in KRUSHKAL_IDENTITIES:
+            assert (status, detail) == ("FAIL", "RibbonError: rigged to raise")
+        else:
+            assert status != "FAIL", name
+
+
+EXPANSION_IDENTITIES = ("br-chain", "lv-chain", "krushkal-expansion")
+
+
+def test_check_expands_once_per_battery(monkeypatch):
+    emb = EmbeddedGraph(random_graph(3, 8, Fraction(3, 10), seed=7))
+    calls = []
+    expansion = checks_mod.expansion_krushkal
+
+    def counted(comp, order):
+        calls.append(comp)
+        return expansion(comp, order)
+
+    monkeypatch.setattr(checks_mod, "expansion_krushkal", counted)
+    for _ in range(2):
+        calls.clear()
+        results = checks_mod.run_checks(emb, emb.cellulation.edge_labels)
+        assert all(status != "FAIL" for _, status, _ in results)
+        assert len(calls) == 1
+
+
+def test_check_reports_raising_expansion_in_each_identity(monkeypatch):
+    emb, order = parse(T1_DOC)
+    calls = []
+
+    def rigged(comp, order):
+        calls.append(comp)
+        raise RibbonError("rigged to raise")
+
+    monkeypatch.setattr(checks_mod, "expansion_krushkal", rigged)
+    results = checks_mod.run_checks(emb, order)
+    assert len(calls) == 1
+    for name, status, detail in results:
+        if name in EXPANSION_IDENTITIES:
             assert (status, detail) == ("FAIL", "RibbonError: rigged to raise")
         else:
             assert status != "FAIL", name

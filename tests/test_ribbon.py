@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpoly.graphs import MultiGraph
 from qpoly.quasitrees import _minor_key
@@ -257,6 +258,7 @@ def test_partial_dual_composes_mod_symmetric_difference():
                 lhs = gh.partial_dual(h2)
                 rhs = g.partial_dual(h ^ h2)
                 assert lhs.subgraph_profile() == rhs.subgraph_profile(), (name, h, h2)
+                assert lhs.switching_form() == rhs.switching_form(), (name, h, h2)
 
 
 def test_partial_dual_preserves_component_counts_after_deletion():
@@ -430,16 +432,134 @@ def test_component_counts_agree_on_random_masks():
             assert sorted(set(labels)) == list(range(c))
 
 
-def test_vertex_flip_preserves_subgraph_profile():
-    g = th()
-    # flip vertex w: reverse its rotation, toggle every edge with one end there
-    f = RibbonGraph(
+def th_flipped_at_w():
+    # th() with vertex w flipped: its rotation reversed, every edge with
+    # one end there toggled
+    return RibbonGraph(
         [("u", ("a1", "b1", "c1")), ("w", ("b2", "c2", "a2"))],
         [("e1", ("a1", "a2"), "-"),
          ("e2", ("b1", "b2"), "-"),
          ("e3", ("c1", "c2"), "-")])
+
+
+def test_vertex_flip_preserves_subgraph_profile():
+    g, f = th(), th_flipped_at_w()
     assert g != f
     assert g.subgraph_profile() == f.subgraph_profile()
+
+
+# ----------------------------------------------------------------------
+# switching form: ribbon graphs up to vertex flips
+
+def flipped(g, vi):
+    """g with vertex vi flipped: its rotation reversed and the twist of
+    every non-loop edge with one end there toggled."""
+    vertices = [(name, rot[::-1] if i == vi else rot)
+                for i, (name, rot) in enumerate(g.vertices)]
+    edges = [(label, pair, -sign if (a == vi) != (b == vi) else sign)
+             for (label, pair, sign), (a, b) in zip(g.edges, g._ends)]
+    return RibbonGraph(vertices, edges)
+
+
+def form_graphs():
+    return [make() for make in FIXTURES.values()] + random_twisted_graphs()
+
+
+def test_switching_form_ignores_vertex_flips():
+    assert th().switching_form() == th_flipped_at_w().switching_form()
+    for g in form_graphs():
+        form = g.switching_form()
+        for vi in range(g.n_vertices):
+            assert flipped(g, vi).switching_form() == form
+
+
+def test_switching_form_ignores_rotation_phase_and_vertex_names():
+    for g in form_graphs():
+        vertices = [("x%d" % i, rot[i % len(rot):] + rot[:i % len(rot)] if rot else rot)
+                    for i, (_, rot) in reversed(list(enumerate(g.vertices)))]
+        assert RibbonGraph(vertices, g.edges).switching_form() == g.switching_form()
+
+
+def test_switching_form_ignores_half_edge_swaps():
+    for g in form_graphs():
+        for (label, (h1, h2), _), (a, b) in zip(g.edges, g._ends):
+            swap = {h1: h2, h2: h1}
+            vertices = [(name, tuple(swap.get(h, h) for h in rot))
+                        for name, rot in g.vertices]
+            other = RibbonGraph(vertices, g.edges)
+            if a != b:
+                assert other != g, label
+            assert other.switching_form() == g.switching_form(), label
+
+
+def test_switching_form_sees_a_toggled_twist_off_the_bridges():
+    toggled = 0
+    for g in form_graphs():
+        full = g.full_mask
+        for ei, (label, pair, sign) in enumerate(g.edges):
+            if g.components(full ^ (1 << ei)) != g.components():
+                continue  # a bridge: flipping one side toggles it alone
+            edges = list(g.edges)
+            edges[ei] = (label, pair, -sign)
+            other = RibbonGraph(g.vertices, edges)
+            assert other.switching_form() != g.switching_form(), label
+            toggled += 1
+    assert toggled > 50
+
+
+def test_switching_form_sees_a_moved_half_edge():
+    # t1 and p2 differ by moving b1 one place along the rotation
+    assert t1().switching_form() != p2().switching_form()
+    changed = 0
+    for g in random_twisted_graphs():
+        profile = g.subgraph_profile()
+        for vi, (name, rot) in enumerate(g.vertices):
+            if len(rot) < 3:
+                continue
+            moved = rot[1:2] + rot[:1] + rot[2:]
+            vertices = list(g.vertices)
+            vertices[vi] = (name, moved)
+            other = RibbonGraph(vertices, g.edges)
+            # a flip invariant that moves shows the graphs inequivalent
+            if other.subgraph_profile() != profile:
+                assert other.switching_form() != g.switching_form(), (g, vi)
+                changed += 1
+    assert changed > 10
+
+
+def test_equal_switching_forms_have_equal_profiles():
+    rng = random.Random(9)
+    equal = 0
+    for g in form_graphs():
+        hs = all_masks(g) if g.n_edges <= 2 else [rng.getrandbits(g.n_edges)
+                                                  for _ in range(8)]
+        for h in hs:
+            gh = g.partial_dual(h)
+            for ei in range(g.n_edges):
+                other = g.partial_dual(h ^ (1 << ei))
+                if gh.switching_form() == other.switching_form():
+                    assert gh.subgraph_profile() == other.subgraph_profile(), (g, h, ei)
+                    equal += 1
+    assert equal > 0
+
+
+@st.composite
+def twisted_graphs_with_duals(draw):
+    v = draw(st.integers(min_value=1, max_value=5))
+    e = draw(st.integers(min_value=v - 1, max_value=12))
+    g = random_graph(v, e, Fraction(3, 10), seed=draw(st.integers(1, 2 ** 32)))
+    masks = st.integers(min_value=0, max_value=g.full_mask)
+    return g, draw(masks), draw(masks), draw(st.integers(0, v - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(twisted_graphs_with_duals())
+def test_switching_form_composes_partial_duals(case):
+    g, a, b, vi = case
+    f = flipped(g, vi)
+    assert f.switching_form() == g.switching_form()
+    lhs = g.partial_dual(a).partial_dual(b)
+    assert lhs.switching_form() == f.partial_dual(a ^ b).switching_form()
 
 
 def test_underlying_graph_and_multigraph():
