@@ -6,15 +6,28 @@ modules.  The quasi-tree module reproduces these values by structurally
 different sums, which is the point of the whole exercise; these are the
 oracles.
 
-Each oracle is one tally.  For every subset it reads the fewest counts it
-needs, forms one doubled exponent vector and counts it; the polynomial is
-built once, from the tally.  The Krushkal sum reads three counts per
-subset, c_G(F), c_G*(E-F) and bc_G(F): the regular neighbourhoods of F in
-G and of E-F in the dual cellulation G* share one boundary, so
-bc_G*(E-F) = bc_G(F), and s(F) and s_perp(F) both follow.  The Las Vergnas
-sum tallies X^(r(E)-r(F)) Y^(|F|-rb(F)) Z^(...) and substitutes X-1 and
-Y-1 once at the end.  EmbeddedGraph.complement_invariants still walks the
-dual for s_perp: the surface-complement check tests
+Each oracle is one tally.  One depth-first sweep over the submasks F of
+the marked edges counts (|F|, c_G(F), c_G*(E-F), bc_G(F)), and each
+oracle maps that tally to doubled exponent vectors and builds its
+polynomial once.  The sweep decides one edge per level.  Left out of F,
+the edge joins its ends in a rollback union-find of the dual cellulation
+G*, where the unmarked edges were joined once before the sweep.  Taken
+into F, it joins its ends in a rollback union-find of G, and its two
+ribbon sides replace its two attachment intervals in the corner pairing
+of the boundary walk.  Walking from one end of its first interval to the
+first corner of the edge it meets gives the change of bc: the intervals
+lay on two circles, which join (-1), or on one circle, which splits in
+two (+1) when the walk comes back at the side partner of its start and
+stays one (0) otherwise.  Returning restores the roots and the pairing.
+So a step costs a few finds and the walk of one circle.
+boundary_components and components keep the full walk and union-find;
+the tests compare the sweep with them.  The Krushkal sum reads all four counts: the regular
+neighbourhoods of F in G and of E-F in G* share one boundary, so
+bc_G*(E-F) = bc_G(F), and s(F) and s_perp(F) both follow.  The Las
+Vergnas sum takes r(F) = v - c_G(F) and rb(F) = |F| - c_G*(E-F) +
+c_G*(E), tallies X^(r(E)-r(F)) Y^(|F|-rb(F)) Z^(...) and substitutes X-1
+and Y-1 once at the end.  EmbeddedGraph.complement_invariants still walks
+the dual for s_perp: the surface-complement check tests
 2n(F) = 2k + delta + s(F) - s_perp(F) with it, an identity that would hold
 by algebra alone if s_perp took bc from G.
 
@@ -32,8 +45,7 @@ import enum
 
 from .graphs import MultiGraph
 from .laurent import HalfExp, LaurentPoly
-from .matroid import bond_matroid, cycle_matroid
-from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph
+from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _iter_bits
 
 __all__ = [
     "PolyKind",
@@ -62,6 +74,66 @@ def _submasks(mask):
         sub = (sub - 1) & mask
 
 
+def _tally(g, marked, d=None):
+    """{(|F|, c_g(F), c_d(E-F), bc_g(F)): count} over the submasks F of
+    marked, by the depth-first sweep of the module docstring.
+
+    d is a graph on the same edges, the dual cellulation for the Krushkal
+    and Las Vergnas sums; c_d is 0 without it.  bc is tracked when g is a
+    RibbonGraph and is 0 otherwise.
+    """
+    order = list(_iter_bits(marked))
+    depth = len(order)
+    ends = g._ends
+    parent = list(range(g.n_vertices))
+    link = g._link(0) if isinstance(g, RibbonGraph) else None
+
+    # no path compression, so that resetting one root undoes a union
+    def join(parent, ends):
+        """Unite the classes of an edge's two ends; the root that moved
+        under the other, or -1 when they were one class already."""
+        a, b = ends
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
+            return -1
+        parent[a] = b
+        return a
+
+    c_d = 0
+    if d is not None:
+        d_ends = d._ends
+        d_parent = list(range(d.n_vertices))
+        c_d = d.n_vertices - sum(join(d_parent, d_ends[ei]) >= 0
+                                 for ei in _iter_bits(g.full_mask ^ marked))
+    acc = {}
+
+    def visit(i, k, c, c_d, bc):
+        if i == depth:
+            key = (k, c, c_d, bc)
+            acc[key] = acc.get(key, 0) + 1
+            return
+        ei = order[i]
+        r = -1 if d is None else join(d_parent, d_ends[ei])
+        visit(i + 1, k, c, c_d - (r >= 0), bc)
+        if r >= 0:
+            d_parent[r] = r
+        r = join(parent, ends[ei])
+        if link is None:
+            visit(i + 1, k + 1, c - (r >= 0), c_d, bc)
+        else:
+            visit(i + 1, k + 1, c - (r >= 0), c_d, bc + g._splice(link, ei))
+            g._unsplice(link, ei)
+        if r >= 0:
+            parent[r] = r
+
+    # bc of the empty subset: one circle per vertex disc
+    visit(0, 0, g.n_vertices, c_d, 0 if link is None else g.n_vertices)
+    return acc
+
+
 def krushkal(emb):
     """The Krushkal polynomial of an embedded graph, by direct summation.
 
@@ -75,20 +147,15 @@ def krushkal(emb):
         emb = EmbeddedGraph(emb)
     g = emb.cellulation
     d = emb.dual_cellulation
-    full = g.full_mask
     marked = emb.marked_mask
     nv, nv_d, ne = g.n_vertices, d.n_vertices, g.n_edges
     c_g = g.components(marked)
-    c_sigma = g.components(full)
+    c_sigma = g.components()
     acc = {}
-    for f in _submasks(marked):
-        c = g.components(f)
-        c_perp = d.components(full ^ f)
-        bc = g.boundary_components(f)
-        k = f.bit_count()
+    for (k, c, c_perp, bc), n in _tally(g, marked, d).items():
         key = (2 * (c - c_g), 2 * (c_perp - c_sigma),
                2 * c - nv + k - bc, 2 * c_perp - nv_d + ne - k - bc, 0)
-        acc[key] = acc.get(key, 0) + 1
+        acc[key] = acc.get(key, 0) + n
     return LaurentPoly(acc)
 
 
@@ -96,15 +163,12 @@ def tutte(g):
     """Whitney-rank Tutte polynomial of an ordinary multigraph."""
     if not isinstance(g, MultiGraph):
         raise TypeError("tutte expects a MultiGraph")
-    full = g.full_mask
-    c_g = g.components(full)
+    c_g = g.components()
     nv = g.n_vertices
     acc = {}
-    for f in range(full + 1):
-        c = g.components(f)
-        n = f.bit_count() - nv + c
-        key = (2 * (c - c_g), 2 * n, 0, 0, 0)
-        acc[key] = acc.get(key, 0) + 1
+    for (k, c, _, _), n in _tally(g, g.full_mask).items():
+        key = (2 * (c - c_g), 2 * (k - nv + c), 0, 0, 0)
+        acc[key] = acc.get(key, 0) + n
     return LaurentPoly(acc)
 
 
@@ -115,16 +179,13 @@ def bollobas_riordan(g):
     """
     if not isinstance(g, RibbonGraph):
         raise TypeError("bollobas_riordan expects a RibbonGraph")
-    full = g.full_mask
-    c_g = g.components(full)
+    c_g = g.components()
     nv = g.n_vertices
     acc = {}
-    for f in range(full + 1):
-        c = g.components(f)
-        k = f.bit_count()
-        s = 2 * c - nv + k - g.boundary_components(f)
-        key = (2 * (c - c_g), 2 * (k - nv + c), 0, 0, 2 * s)
-        acc[key] = acc.get(key, 0) + 1
+    for (k, c, _, bc), n in _tally(g, g.full_mask).items():
+        key = (2 * (c - c_g), 2 * (k - nv + c), 0, 0,
+               2 * (2 * c - nv + k - bc))
+        acc[key] = acc.get(key, 0) + n
     return LaurentPoly(acc)
 
 
@@ -133,24 +194,25 @@ def las_vergnas(emb):
 
     Sum over F of (X-1)^(r(E)-r(F)) (Y-1)^(|F|-rb(F)) Z^((rb(E)-rb(F))-(r(E)-r(F)))
     where r is the cycle rank of G and rb the rank of the bond matroid of
-    the dual graph G*.
+    the dual graph G*: r(F) = v - c_G(F) and
+    rb(F) = |F| - c_G*(E-F) + c_G*(E).
     """
     if not isinstance(emb, EmbeddedGraph):
         emb = EmbeddedGraph(emb)
     if not emb.is_cellular:
         raise RibbonError("the Las Vergnas polynomial needs a cellular embedding")
     g = emb.cellulation
-    r = cycle_matroid(g.underlying_graph())
-    rb = bond_matroid(emb.dual_cellulation.underlying_graph())
+    d = emb.dual_cellulation
     full = g.full_mask
-    r_full = r.rank(full)
-    rb_full = rb.rank(full)
+    c_full, c_d_full = g.components(), d.components()
+    ne, nv_d = g.n_edges, d.n_vertices
     acc = {}
-    for f in range(full + 1):
-        rb_f = rb.rank(f)
-        dr = r_full - r.rank(f)
-        key = (2 * dr, 2 * (f.bit_count() - rb_f), 0, 0, 2 * (rb_full - rb_f - dr))
-        acc[key] = acc.get(key, 0) + 1
+    # the underlying graph: r and rb need no boundary count
+    for (k, c, c_d, _), n in _tally(g.underlying_graph(), full, d).items():
+        dr = c - c_full
+        key = (2 * dr, 2 * (c_d - c_d_full), 0, 0,
+               2 * (ne - nv_d - k + c_d - dr))
+        acc[key] = acc.get(key, 0) + n
     return LaurentPoly(acc).substitute({
         "X": LaurentPoly.variable("X") - 1,
         "Y": LaurentPoly.variable("Y") - 1,

@@ -23,7 +23,9 @@ spanning subgraph on H that touch a half-edge.  Vertices without
 half-edges add one circle each.  One walk over these cycles gives the
 boundary count bc(H), the vertices of the partial dual G^H (one per
 circle, its rotation the half-edges crossed), and so the vertex word of
-G^Q for a quasi-tree Q.
+G^Q for a quasi-tree Q.  Moving one edge into H changes the pairing at
+its four corners only, so _splice finds the new bc by walking the one
+circle through them; the brute-force sums sweep the subsets that way.
 
 Subsets of edges are bitmasks in edge-declaration order throughout, and
 graphs are capped at 64 edges.  All values are immutable once built;
@@ -250,9 +252,7 @@ class RibbonGraph:
         role[c] is 1 at those corners and 2 where a circle enters along
         link.
         """
-        link = list(self._intervals)
-        for ei in _iter_bits(mask):
-            link[4 * ei:4 * ei + 4] = self._sides[ei]
+        link = self._link(mask)
         arc = self._arc
         role = bytearray(len(arc))
         walks = []
@@ -269,6 +269,38 @@ class RibbonGraph:
                 c = arc[c]
             walks.append(walk)
         return link, role, walks
+
+    def _link(self, mask):
+        """The corner pairing of F_mask: the corners of the edges in mask
+        pair along their ribbon sides, the others along their attachment
+        intervals."""
+        link = list(self._intervals)
+        for ei in _iter_bits(mask):
+            link[4 * ei:4 * ei + 4] = self._sides[ei]
+        return link
+
+    def _splice(self, link, ei):
+        """Move edge ei into the subset that link pairs, and return the
+        change of bc.
+
+        link pairs ei along its attachment intervals on entry and along
+        its ribbon sides on return.  The walk from corner 4ei + 1 along
+        its disc arc meets a corner of ei first at 4ei when the two
+        intervals lay on different circles, which the sides join (-1); at
+        the side partner of 4ei + 1 when they lay on one circle that the
+        sides split in two (+1); and elsewhere when that circle stays one.
+        """
+        arc = self._arc
+        c = arc[4 * ei + 1]
+        while c >> 2 != ei:
+            c = arc[link[c]]
+        sides = self._sides[ei]
+        link[4 * ei:4 * ei + 4] = sides
+        return -1 if c == 4 * ei else int(c == sides[1])
+
+    def _unsplice(self, link, ei):
+        """Undo _splice(link, ei): pair ei along its intervals again."""
+        link[4 * ei:4 * ei + 4] = self._intervals[4 * ei:4 * ei + 4]
 
     def boundary_components(self, edges=None):
         """Boundary circles of the ribbon neighbourhood of the subgraph.

@@ -328,6 +328,49 @@ def test_quasitrees_twisted_marked_ordered_bytes(tmp_path, capsys):
     )
 
 
+BARE_VERTEX_DOC = (
+    "vertex u: a1 b1 a2\n"
+    "vertex w: b2 c1 c2\n"
+    "vertex y: d1 d2\n"
+    "vertex x:\n"
+    "edge e1: a1 a2 -\n"
+    "edge e2: b1 b2 +\n"
+    "edge e3: c1 c2 +\n"
+    "edge e4: d1 d2 -\n"
+)
+
+BRUTE_BYTES = {
+    (TWISTED_MARKED_DOC, "krushkal"): (0, (
+        "X^2*A^(1/2) + X^2*B^(1/2) + 2*X*Y*A^(1/2) + 2*X*Y*B^(1/2)"
+        " + 4*X*A^(1/2) + 4*X*B^(1/2) + Y^2*A^(1/2) + Y^2*B^(1/2)"
+        " + 4*Y*A^(1/2) + 4*Y*B^(1/2) + 4*A^(1/2) + 4*B^(1/2)\n"), ""),
+    (TWISTED_MARKED_DOC, "tutte"): (0, (
+        "X^2*Y + X^2 + 2*X*Y^2 + 6*X*Y + 4*X + Y^3 + 5*Y^2 + 8*Y + 4\n"), ""),
+    (TWISTED_MARKED_DOC, "br"): (0, (
+        "X^2*Y*Z + X^2 + 2*X*Y^2*Z + 4*X*Y*Z + 2*X*Y + 4*X + Y^3*Z"
+        " + 4*Y^2*Z + Y^2 + 4*Y*Z + 4*Y + 4\n"), ""),
+    (TWISTED_MARKED_DOC, "lv"): (
+        2, "", "qp: the Las Vergnas polynomial needs a cellular embedding\n"),
+    (BARE_VERTEX_DOC, "krushkal"): (0, (
+        "X*Y*A + 2*X*Y*A^(1/2)*B^(1/2) + X*Y*B + X*A + 2*X*A^(1/2)*B^(1/2)"
+        " + X*B + Y*A + 2*Y*A^(1/2)*B^(1/2) + Y*B + A + 2*A^(1/2)*B^(1/2)"
+        " + B\n"), ""),
+    (BARE_VERTEX_DOC, "tutte"): (0, (
+        "X*Y^3 + 3*X*Y^2 + 3*X*Y + X + Y^3 + 3*Y^2 + 3*Y + 1\n"), ""),
+    (BARE_VERTEX_DOC, "br"): (0, (
+        "X*Y^3*Z^2 + X*Y^2*Z^2 + 2*X*Y^2*Z + 2*X*Y*Z + X*Y + X + Y^3*Z^2"
+        " + Y^2*Z^2 + 2*Y^2*Z + 2*Y*Z + Y + 1\n"), ""),
+    (BARE_VERTEX_DOC, "lv"): (0, "X*Y*Z^2 + 2*X*Y*Z + X*Y\n", ""),
+}
+
+
+@pytest.mark.parametrize("doc, poly", sorted(BRUTE_BYTES))
+def test_compute_brute_bytes(tmp_path, capsys, doc, poly):
+    path = write_doc(tmp_path, doc)
+    got = run_cli(capsys, "compute", "-i", path, "-p", poly, "-m", "brute")
+    assert got == BRUTE_BYTES[doc, poly]
+
+
 def test_quasitrees_disconnected_rejected(tmp_path, capsys):
     path = write_doc(tmp_path, DISCONNECTED_DOC)
     code, _, err = run_cli(capsys, "quasitrees", "-i", path)

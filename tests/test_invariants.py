@@ -13,7 +13,7 @@ from qpoly.invariants import (
     specialize,
     tutte,
 )
-from qpoly.invariants import _submasks
+from qpoly.invariants import _submasks, _tally
 from qpoly.laurent import LaurentPoly, parse_poly
 from qpoly.matroid import bond_matroid, cycle_matroid
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
@@ -231,6 +231,14 @@ def krushkal_by_definition(emb):
     return LaurentPoly(acc)
 
 
+def tutte_by_definition(mg):
+    c_g = mg.components()
+    total = LaurentPoly.zero()
+    for f in range(mg.full_mask + 1):
+        total = total + LaurentPoly.term(X=mg.components(f) - c_g, Y=mg.nullity(f))
+    return total
+
+
 def bollobas_riordan_by_definition(g):
     c_g = g.components()
     total = LaurentPoly.zero()
@@ -275,5 +283,65 @@ def test_tallies_match_per_subset_sums():
         assert krushkal(emb) == krushkal_by_definition(emb), g
         assert bollobas_riordan(g) == bollobas_riordan_by_definition(g), g
         assert las_vergnas(emb) == las_vergnas_by_definition(emb), g
+        mg = g.underlying_graph()
+        assert tutte(mg) == tutte_by_definition(mg), g
         marked = EmbeddedGraph(g, rng.randrange(g.full_mask + 1))
         assert krushkal(marked) == krushkal_by_definition(marked), g
+        sub = marked.ribbon_subgraph()
+        assert bollobas_riordan(sub) == bollobas_riordan_by_definition(sub), g
+        mg = marked.underlying_marked_graph()
+        assert tutte(mg) == tutte_by_definition(mg), g
+
+
+# ----------------------------------------------------------------------
+# the subset sweep against full union-finds and full corner walks
+
+
+def tally_by_definition(g, marked, d):
+    """(|F|, c_G(F), c_d(E-F), bc_G(F)) counted per mask, each count from
+    a fresh union-find or corner walk."""
+    acc = {}
+    for f in _submasks(marked):
+        key = (f.bit_count(), g.components(f), d.components(g.full_mask ^ f),
+               g.boundary_components(f))
+        acc[key] = acc.get(key, 0) + 1
+    return acc
+
+
+def collapse(tally, keep):
+    """The tally with the key entries outside keep set to 0."""
+    acc = {}
+    for key, n in tally.items():
+        key = tuple(x if i in keep else 0 for i, x in enumerate(key))
+        acc[key] = acc.get(key, 0) + n
+    return acc
+
+
+def markings(g, rng):
+    """The empty, full and a random marking, and one whose spanning
+    subgraph has more components than g where there is one."""
+    out = [0, g.full_mask, rng.randrange(g.full_mask + 1)]
+    for _ in range(200):
+        mask = rng.randrange(g.full_mask + 1)
+        if g.components(mask) > g.components():
+            out.append(mask)
+            break
+    return out
+
+
+def test_sweep_matches_per_mask_counts():
+    rng = random.Random(31)
+    graphs = [make() for make in FIXTURES.values()]
+    graphs += random_twisted_graphs()
+    graphs.append(disconnected_with_bare_vertex())
+    graphs.append(RibbonGraph([("v", ()), ("w", ())], []))
+    split = 0
+    for g in graphs:
+        d = EmbeddedGraph(g).dual_cellulation
+        for mask in markings(g, rng):
+            split += mask != 0 and g.components(mask) > g.components()
+            want = tally_by_definition(g, mask, d)
+            assert _tally(g, mask, d) == want, (g, mask)
+            assert _tally(g, mask) == collapse(want, {0, 1, 3}), (g, mask)
+            assert _tally(g.underlying_graph(), mask, d) == collapse(want, {0, 1, 2}), (g, mask)
+    assert split > 0
