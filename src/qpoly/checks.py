@@ -13,7 +13,7 @@ flips that reads edge labels only, since partial duals rename half-edges
 and vertices.  Per component it untwists the spanning forest least by
 sorted edge label, writes each vertex as the cyclic minimum of its
 edge-label word and keeps the smaller of the two global flips.  It costs
-a few union-finds per graph, so both identities run at every size.
+two union-finds per graph, so both identities run at every size.
 """
 
 from __future__ import annotations

@@ -11,6 +11,38 @@ from __future__ import annotations
 __all__ = ["MultiGraph"]
 
 
+def _join(parent, ends):
+    """Unite the classes of an edge's two ends in the union-find parent;
+    the root that moved under the other, or -1 when they were one class
+    already.
+
+    Roots are linked without path compression, so resetting the moved
+    root (parent[r] = r) undoes the union; the subset sweep of the
+    brute-force sums rolls its unions back that way.
+    """
+    a, b = ends
+    while parent[a] != a:
+        a = parent[a]
+    while parent[b] != b:
+        b = parent[b]
+    if a == b:
+        return -1
+    parent[a] = b
+    return a
+
+
+def _forest(g, edge_order):
+    """A spanning forest of g as an edge mask, by Kruskal: each edge of
+    edge_order is kept when it joins two classes of the forest so far."""
+    parent = list(range(len(g.vertices)))
+    ends = g._ends
+    forest = 0
+    for ei in edge_order:
+        if _join(parent, ends[ei]) >= 0:
+            forest |= 1 << ei
+    return forest
+
+
 class MultiGraph:
     """A multigraph with ordered vertices and labelled edges.
 
@@ -73,32 +105,28 @@ class MultiGraph:
         """Connected components of the spanning subgraph on the given edges.
 
         With labels=True, the component index of every vertex instead,
-        components numbered in the order of their first vertex.  This is
-        the package's one union-find: RibbonGraph shares the method, since
-        both classes keep the vertex pair of edge i in _ends[i].
+        components numbered in the order of their first vertex.
+        RibbonGraph shares the method, since both classes keep the vertex
+        pair of edge i in _ends[i].
         """
         mask = self._norm_mask(mask)
         parent = list(range(len(self.vertices)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         ends = self._ends
+        c = len(parent)
         m = mask
         while m:
             ei = (m & -m).bit_length() - 1
             m &= m - 1
-            a, b = ends[ei]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+            c -= _join(parent, ends[ei]) >= 0
         if not labels:
-            return sum(1 for i, p in enumerate(parent) if p == i)
+            return c
         index = {}
-        return [index.setdefault(find(v), len(index)) for v in range(len(parent))]
+        comp = []
+        for r in range(len(parent)):
+            while parent[r] != r:
+                r = parent[r]
+            comp.append(index.setdefault(r, len(index)))
+        return comp
 
     def nullity(self, mask=None):
         """Cycle-space dimension e(F) - v + c(F) of the spanning subgraph."""

@@ -19,9 +19,11 @@ first corner of the edge it meets gives the change of bc: the intervals
 lay on two circles, which join (-1), or on one circle, which splits in
 two (+1) when the walk comes back at the side partner of its start and
 stays one (0) otherwise.  Returning restores the roots and the pairing.
-So a step costs a few finds and the walk of one circle.
-boundary_components and components keep the full walk and union-find;
-the tests compare the sweep with them.  The Krushkal sum reads all four counts: the regular
+So a step costs a few finds and the walk of one circle.  Both
+union-finds link with graphs._join, the one that components counts
+with; boundary_components keeps the full walk.  The tests compare the
+sweep with per-subset counts, and the union-find with a breadth-first
+search of their own.  The Krushkal sum reads all four counts: the regular
 neighbourhoods of F in G and of E-F in G* share one boundary, so
 bc_G*(E-F) = bc_G(F), and s(F) and s_perp(F) both follow.  The Las
 Vergnas sum takes r(F) = v - c_G(F) and rb(F) = |F| - c_G*(E-F) +
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import enum
 
-from .graphs import MultiGraph
+from .graphs import MultiGraph, _join
 from .laurent import HalfExp, LaurentPoly
 from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _iter_bits
 
@@ -88,25 +90,11 @@ def _tally(g, marked, d=None):
     parent = list(range(g.n_vertices))
     link = g._link(0) if isinstance(g, RibbonGraph) else None
 
-    # no path compression, so that resetting one root undoes a union
-    def join(parent, ends):
-        """Unite the classes of an edge's two ends; the root that moved
-        under the other, or -1 when they were one class already."""
-        a, b = ends
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a == b:
-            return -1
-        parent[a] = b
-        return a
-
     c_d = 0
     if d is not None:
         d_ends = d._ends
         d_parent = list(range(d.n_vertices))
-        c_d = d.n_vertices - sum(join(d_parent, d_ends[ei]) >= 0
+        c_d = d.n_vertices - sum(_join(d_parent, d_ends[ei]) >= 0
                                  for ei in _iter_bits(g.full_mask ^ marked))
     acc = {}
 
@@ -116,11 +104,11 @@ def _tally(g, marked, d=None):
             acc[key] = acc.get(key, 0) + 1
             return
         ei = order[i]
-        r = -1 if d is None else join(d_parent, d_ends[ei])
+        r = -1 if d is None else _join(d_parent, d_ends[ei])
         visit(i + 1, k, c, c_d - (r >= 0), bc)
         if r >= 0:
             d_parent[r] = r
-        r = join(parent, ends[ei])
+        r = _join(parent, ends[ei])
         if link is None:
             visit(i + 1, k + 1, c - (r >= 0), c_d, bc)
         else:

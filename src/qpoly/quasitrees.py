@@ -34,7 +34,7 @@ coefficient for coefficient.
 
 from __future__ import annotations
 
-from .graphs import MultiGraph
+from .graphs import MultiGraph, _forest
 from .invariants import PolyKind, _submasks, specialize, tutte
 from .laurent import LaurentPoly
 from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _iter_bits
@@ -221,20 +221,6 @@ def _classes(rows, lower, mask):
             dead & ext, orientable & ext, nonorientable & ext)
 
 
-def _spanning_tree(g):
-    """A spanning tree of the connected graph g, as a mask.  Its ribbon
-    neighbourhood is a disc, so it is a quasi-tree."""
-    reached, tree, grown = 1, 0, True
-    while grown:
-        grown = False
-        for ei, (a, b) in enumerate(g._ends):
-            if (reached >> a) & 1 != (reached >> b) & 1:
-                reached |= 1 << a | 1 << b
-                tree |= 1 << ei
-                grown = True
-    return tree
-
-
 def _pivot(rows, e, free):
     """(X, rows of the interlace matrix of Q xor X) for the principal
     pivot transform of Q's rows on X = {e} if e's diagonal bit is set, else
@@ -285,7 +271,8 @@ def _descent(g, lower):
     if g.components() != 1:
         raise RibbonError("quasi-trees are defined for connected graphs")
     desc = sorted(range(len(lower)), key=lower.__getitem__, reverse=True)
-    q = _spanning_tree(g)
+    # a spanning tree's ribbon neighbourhood is a disc, so it is a quasi-tree
+    q = _forest(g, range(len(g.edges)))
     stack = [(0, 0, 0, q, _walk_rows(g, q))]
     while stack:
         j, ones, zeros, q, rows = stack.pop()

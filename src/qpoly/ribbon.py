@@ -4,8 +4,9 @@ A ribbon graph is stored as a rotation system with twists: every vertex
 carries a cyclic sequence of half-edge labels, every edge pairs two half
 edges and carries a sign, + for an untwisted ribbon and - for a twisted
 one.  This single structure supports all the topology we need: boundary
-component counts, orientability, Poincare duals, partial duals, deletion
-and contraction.
+component counts, orientability, Poincare duals and partial duals.
+Deletion is restriction to the other edges, and contraction is
+G/e = G^{e} - e, the partial dual on e with e deleted.
 
 Boundary walks are traced on *corner points*.  Every half-edge h has two
 corners (h, 0) and (h, 1), placed so that walking the vertex disc boundary
@@ -34,7 +35,7 @@ operations are pure functions, so everything here is safe to share.
 
 from __future__ import annotations
 
-from .graphs import MultiGraph
+from .graphs import MultiGraph, _forest
 
 __all__ = [
     "RibbonError",
@@ -177,21 +178,13 @@ class RibbonGraph:
     # ------------------------------------------------------------------
     # basics
 
-    @property
-    def n_vertices(self):
-        return len(self.vertices)
-
-    @property
-    def n_edges(self):
-        return len(self.edges)
-
-    @property
-    def full_mask(self):
-        return (1 << len(self.edges)) - 1
+    n_vertices = MultiGraph.n_vertices
+    n_edges = MultiGraph.n_edges
+    full_mask = MultiGraph.full_mask
 
     def twist(self, label):
         """The sign of an edge, +1 or -1."""
-        return self._sign[self._edge_index[label]]
+        return self._sign[self.edge_mask((label,)).bit_length() - 1]
 
     def edge_mask(self, labels):
         mask = 0
@@ -241,6 +234,7 @@ class RibbonGraph:
     # subgraph invariants
 
     components = MultiGraph.components
+    nullity = MultiGraph.nullity
 
     def _walk(self, mask):
         """Trace every circle of the corner walk for F_mask.
@@ -317,11 +311,6 @@ class RibbonGraph:
         return (2 * self.components(mask) - len(self.vertices)
                 + mask.bit_count() - self.boundary_components(mask))
 
-    def nullity(self, edges=None):
-        """n(F) = e(F) - v + c(F)."""
-        mask = self._norm_mask(edges)
-        return mask.bit_count() - len(self.vertices) + self.components(mask)
-
     def is_orientable(self, edges=None):
         """Whether some vertex-flip assignment clears every twist of the
         subgraph; a twisted loop is never cleared."""
@@ -391,13 +380,8 @@ class RibbonGraph:
         keeps, are recorded once for the whole graph.
         """
         labels = self.edge_labels
-        forest = 0
+        forest = _forest(self, sorted(range(len(labels)), key=labels.__getitem__))
         comp = self.components(forest, labels=True)
-        for ei in sorted(range(len(labels)), key=labels.__getitem__):
-            a, b = self._ends[ei]
-            if comp[a] != comp[b]:
-                forest |= 1 << ei
-                comp = self.components(forest, labels=True)
         flip = self._flips(forest)
         sides = [([], []) for _ in range(max(comp, default=-1) + 1)]
         for v, rot in enumerate(self._rot_idx):
@@ -470,49 +454,19 @@ class RibbonGraph:
 
     def delete(self, label):
         """Remove one edge ribbon, keeping all vertices."""
-        ei = self._edge_index[label]
-        drop = {self.edges[ei][1][0], self.edges[ei][1][1]}
-        new_vertices = [(name, tuple(h for h in rot if h not in drop))
-                        for name, rot in self.vertices]
-        new_edges = [e for e in self.edges if e[0] != label]
-        return RibbonGraph(new_vertices, new_edges)
+        return self.restrict(self.full_mask ^ self.edge_mask((label,)))
 
     def contract(self, label):
-        """Contract a non-loop edge, splicing the endpoint rotations.
-
-        A twisted edge first flips one endpoint (reversing its rotation
-        and toggling the twists of the other edges with exactly one end
-        there), after which the splice is the untwisted one.  Contracting
-        a loop is an error.
+        """Contract a non-loop edge e: G/e = G^{e} - e, the partial dual on
+        e with e deleted (Ellis-Monaghan and Moffatt, "Twisted duality for
+        embedded graphs", Trans. AMS 2012).  The vertices are renamed as
+        partial_dual names them.  Contracting a loop is an error.
         """
-        ei = self._edge_index[label]
-        h1, h2 = self.edges[ei][1]
-        u, w = self._ends[ei]
+        bit = self.edge_mask((label,))
+        u, w = self._ends[bit.bit_length() - 1]
         if u == w:
             raise RibbonError("cannot contract the loop %r" % label)
-        flip = self._sign[ei] < 0
-        rotu = list(self.vertices[u][1])
-        rotw = list(self.vertices[w][1])
-        if flip:
-            rotw.reverse()
-        iu = rotu.index(h1)
-        iw = rotw.index(h2)
-        merged = tuple(rotu[iu + 1:] + rotu[:iu] + rotw[iw + 1:] + rotw[:iw])
-        new_vertices = []
-        for vi, (name, rot) in enumerate(self.vertices):
-            if vi == u:
-                new_vertices.append((name, merged))
-            elif vi != w:
-                new_vertices.append((name, rot))
-        new_edges = []
-        for ej, (lab, pair, sign) in enumerate(self.edges):
-            if ej == ei:
-                continue
-            a, b = self._ends[ej]
-            if flip and (a == w) != (b == w):
-                sign = -sign
-            new_edges.append((lab, pair, sign))
-        return RibbonGraph(new_vertices, new_edges)
+        return self.partial_dual(bit).delete(label)
 
     def restrict(self, edges):
         """The spanning ribbon subgraph on an edge subset, as a graph of

@@ -8,7 +8,11 @@ TH  two vertices, three parallel edges        (theta graph on the sphere)
 TV  one vertex, no edges                      (disc)
 
 random_twisted_graphs() adds twelve pinned connected random graphs with
-5 to 10 edges, each edge twisted with probability 3/10.
+5 to 10 edges, each edge twisted with probability 3/10, and
+disconnected_with_bare_vertex() a graph with three components, one of
+them a vertex without edges.  component_labels_by_search() and
+count_by_search() are the suite's own component labelling and count, a
+breadth-first search independent of the package's union-find.
 """
 
 import random
@@ -51,6 +55,43 @@ def tv():
 
 
 FIXTURES = {"B1": b1, "M1": m1, "T1": t1, "P2": p2, "TH": th, "TV": tv}
+
+
+def disconnected_with_bare_vertex():
+    return RibbonGraph(
+        [("u", ("a1", "b1", "a2")), ("w", ("b2", "c1", "c2")),
+         ("y", ("d1", "d2")), ("x", ())],
+        [("e1", ("a1", "a2"), "-"), ("e2", ("b1", "b2"), "+"),
+         ("e3", ("c1", "c2"), "+"), ("e4", ("d1", "d2"), "-")])
+
+
+def component_labels_by_search(g, mask):
+    """The component index of every vertex of the spanning subgraph on the
+    edge mask, numbered by first vertex, by breadth-first search over the
+    vertex pairs g._ends."""
+    adj = [[] for _ in g.vertices]
+    for ei, (a, b) in enumerate(g._ends):
+        if (mask >> ei) & 1:
+            adj[a].append(b)
+            adj[b].append(a)
+    comp = [-1] * len(adj)
+    n = 0
+    for start in range(len(adj)):
+        if comp[start] >= 0:
+            continue
+        comp[start] = n
+        queue = [start]
+        for x in queue:
+            for y in adj[x]:
+                if comp[y] < 0:
+                    comp[y] = n
+                    queue.append(y)
+        n += 1
+    return comp
+
+
+def count_by_search(g, mask):
+    return max(component_labels_by_search(g, mask), default=-1) + 1
 
 
 def random_twisted_graphs():

@@ -18,7 +18,18 @@ from qpoly.laurent import LaurentPoly, parse_poly
 from qpoly.matroid import bond_matroid, cycle_matroid
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 
-from fixture_graphs import FIXTURES, b1, m1, p2, random_twisted_graphs, t1, th, tv
+from fixture_graphs import (
+    FIXTURES,
+    b1,
+    count_by_search,
+    disconnected_with_bare_vertex,
+    m1,
+    p2,
+    random_twisted_graphs,
+    t1,
+    th,
+    tv,
+)
 
 
 def cellular(make):
@@ -265,14 +276,6 @@ def las_vergnas_by_definition(emb):
     return total
 
 
-def disconnected_with_bare_vertex():
-    return RibbonGraph(
-        [("u", ("a1", "b1", "a2")), ("w", ("b2", "c1", "c2")),
-         ("y", ("d1", "d2")), ("x", ())],
-        [("e1", ("a1", "a2"), "-"), ("e2", ("b1", "b2"), "+"),
-         ("e3", ("c1", "c2"), "+"), ("e4", ("d1", "d2"), "-")])
-
-
 def test_tallies_match_per_subset_sums():
     rng = random.Random(29)
     graphs = [make() for make in FIXTURES.values()]
@@ -294,16 +297,16 @@ def test_tallies_match_per_subset_sums():
 
 
 # ----------------------------------------------------------------------
-# the subset sweep against full union-finds and full corner walks
+# the subset sweep against breadth-first searches and full corner walks
 
 
 def tally_by_definition(g, marked, d):
-    """(|F|, c_G(F), c_d(E-F), bc_G(F)) counted per mask, each count from
-    a fresh union-find or corner walk."""
+    """(|F|, c_G(F), c_d(E-F), bc_G(F)) counted per mask, the components
+    by breadth-first search and bc by a fresh corner walk."""
     acc = {}
     for f in _submasks(marked):
-        key = (f.bit_count(), g.components(f), d.components(g.full_mask ^ f),
-               g.boundary_components(f))
+        key = (f.bit_count(), count_by_search(g, f),
+               count_by_search(d, g.full_mask ^ f), g.boundary_components(f))
         acc[key] = acc.get(key, 0) + 1
     return acc
 

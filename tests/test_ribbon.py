@@ -6,12 +6,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpoly.graphs import MultiGraph
+from qpoly.graphs import MultiGraph, _forest
 from qpoly.quasitrees import _minor_key
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 from qpoly.textio import random_graph
 
-from fixture_graphs import FIXTURES, b1, m1, p2, random_twisted_graphs, t1, th, tv
+from fixture_graphs import (
+    FIXTURES,
+    b1,
+    component_labels_by_search,
+    count_by_search,
+    disconnected_with_bare_vertex,
+    m1,
+    p2,
+    random_twisted_graphs,
+    t1,
+    th,
+    tv,
+)
 
 
 def all_masks(g):
@@ -303,10 +315,62 @@ def test_minor_contract_theta():
 
 
 def test_minor_contract_loop_is_error():
-    with pytest.raises(RibbonError):
+    with pytest.raises(RibbonError, match="^cannot contract the loop 'e1'$"):
         m1().contract("e1")
-    with pytest.raises(RibbonError):
+    with pytest.raises(RibbonError, match="^cannot contract the loop 'e1'$"):
         b1().contract("e1")
+
+
+def contract_by_splice(g, label):
+    """G/e for a non-loop edge e by splicing the endpoint rotations: a
+    twisted e first flips one endpoint (reversing its rotation and
+    toggling the twists of the other edges with exactly one end there),
+    after which the splice is the untwisted one."""
+    ei = g.edge_labels.index(label)
+    h1, h2 = g.edges[ei][1]
+    u, w = g._ends[ei]
+    assert u != w
+    flip = g.edges[ei][2] < 0
+    rotu = list(g.vertices[u][1])
+    rotw = list(g.vertices[w][1])
+    if flip:
+        rotw.reverse()
+    iu = rotu.index(h1)
+    iw = rotw.index(h2)
+    merged = tuple(rotu[iu + 1:] + rotu[:iu] + rotw[iw + 1:] + rotw[:iw])
+    vertices = [(name, merged if vi == u else rot)
+                for vi, (name, rot) in enumerate(g.vertices) if vi != w]
+    edges = []
+    for ej, (lab, pair, sign) in enumerate(g.edges):
+        a, b = g._ends[ej]
+        if ej != ei:
+            edges.append((lab, pair, -sign if flip and (a == w) != (b == w) else sign))
+    return RibbonGraph(vertices, edges)
+
+
+def contraction_graphs():
+    graphs = [make() for make in FIXTURES.values()] + random_twisted_graphs()
+    rng = random.Random(41)
+    for twist in (0, Fraction(3, 10), Fraction(1, 2)):
+        for seed in range(8):
+            graphs.append(random_graph(rng.randint(2, 6), rng.randint(5, 10),
+                                       twist, seed=seed))
+    return graphs
+
+
+def test_contract_matches_rotation_splice():
+    # G/e = G^{e} - e agrees with the splice up to vertex flips, names and
+    # order
+    contracted = 0
+    for g in contraction_graphs():
+        for label, (a, b) in zip(g.edge_labels, g._ends):
+            if a == b:
+                continue
+            got, want = g.contract(label), contract_by_splice(g, label)
+            assert got.switching_form() == want.switching_form(), (g, label)
+            assert got.subgraph_profile() == want.subgraph_profile(), (g, label)
+            contracted += 1
+    assert contracted > 100
 
 
 def test_contract_preserves_boundary_count():
@@ -332,6 +396,12 @@ def test_contract_twisted_edge():
     assert h.boundary_components() == 1
     assert h.twist("f") == -1
     assert h.genus_s() == 1
+
+
+@pytest.mark.parametrize("method", ["twist", "delete", "contract"])
+def test_unknown_edge_label_is_a_ribbon_error(method):
+    with pytest.raises(RibbonError, match="^unknown edge 'zz'$"):
+        getattr(th(), method)("zz")
 
 
 def test_delete_all_leaves_isolated_vertices():
@@ -416,20 +486,55 @@ def test_split_components():
     assert parts[2].n_edges == 0
 
 
+def union_find_graphs():
+    rng = random.Random(5)
+    graphs = [random_graph(rng.randint(1, 7), rng.randint(6, 12),
+                           Fraction(3, 10), seed=seed) for seed in range(1, 13)]
+    return graphs + random_twisted_graphs() + [
+        disconnected_with_bare_vertex(),
+        RibbonGraph([("v", ())], []),
+        RibbonGraph([("v", ()), ("w", ())], [])]
+
+
 def test_component_counts_agree_on_random_masks():
     rng = random.Random(5)
-    for seed in range(1, 13):
-        g = random_graph(rng.randint(1, 7), rng.randint(6, 12),
-                         Fraction(3, 10), seed=seed)
+    for g in union_find_graphs():
         mg = g.underlying_graph()
-        for _ in range(20):
-            mask = rng.randrange(g.full_mask + 1)
-            c = g.components(mask)
+        masks = [0, g.full_mask] + [rng.randrange(g.full_mask + 1) for _ in range(20)]
+        for mask in masks:
+            labels = component_labels_by_search(g, mask)
+            c = count_by_search(g, mask)
+            assert g.components(mask, labels=True) == labels, (g, mask)
+            assert mg.components(mask, labels=True) == labels, (g, mask)
+            assert g.components(mask) == c
             assert mg.components(mask) == c
             assert len(g.restrict(mask).split_components()) == c
             assert _minor_key(g, mask, 0)[0] == c
-            labels = g.components(mask, labels=True)
-            assert sorted(set(labels)) == list(range(c))
+
+
+def kruskal_by_search(g, order):
+    """Kruskal's spanning forest: each edge of order whose ends lie in two
+    components of the forest so far, by breadth-first search."""
+    forest = 0
+    for ei in order:
+        a, b = g._ends[ei]
+        comp = component_labels_by_search(g, forest)
+        if comp[a] != comp[b]:
+            forest |= 1 << ei
+    return forest
+
+
+def test_forest_is_kruskal_under_random_orders():
+    rng = random.Random(23)
+    for g in union_find_graphs():
+        c = count_by_search(g, g.full_mask)
+        for _ in range(5):
+            order = list(range(g.n_edges))
+            rng.shuffle(order)
+            forest = _forest(g, order)
+            assert forest == kruskal_by_search(g, order), (g, order)
+            assert count_by_search(g, forest) == c
+            assert forest.bit_count() == g.n_vertices - c
 
 
 def th_flipped_at_w():
