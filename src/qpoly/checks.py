@@ -5,7 +5,9 @@ graph: Euler counts, duality, partial duality, the quasi-tree partition,
 and cross-checks of every polynomial against its expansions and
 specializations.  Each identity reports PASS, FAIL, or SKIP; checks
 whose cost blows up with the edge count skip or sample beyond a fixed
-size, always deterministically.
+size, always deterministically.  The per-subset identities read c, bc, s
+and n off RibbonGraph.subgraph_profile() of G and of G*, each computed
+once per battery.
 
 dual-involution and partial-dual-composition compare ribbon graphs
 exactly, by RibbonGraph.switching_form(): a canonical form up to vertex
@@ -37,7 +39,7 @@ from .quasitrees import (
     quasi_tree_masks,
     resolution_tree,
 )
-from .ribbon import EmbeddedGraph, RibbonError
+from .ribbon import EmbeddedGraph, RibbonError, _iter_bits
 from .textio import XorShift64Star
 
 __all__ = ["run_checks", "CHECKS", "compute_polynomial"]
@@ -93,8 +95,8 @@ def compute_polynomial(emb, order, kind, method):
 # individual identities
 
 # the memo of the battery that run_checks is running: its document and,
-# once an identity has asked, the brute Krushkal sum and the per-component
-# expansions, or their exceptions
+# once an identity has asked, the brute Krushkal sum, the per-component
+# expansions and the subgraph profiles of G and G*, or their exceptions
 _battery = ContextVar("battery", default=None)
 
 
@@ -129,33 +131,36 @@ def _expansions(emb, order):
         for comp in emb.ribbon_subgraph().split_components()])
 
 
-def _all_masks(g):
-    return range(g.full_mask + 1)
-
-
-def _check_euler_genus(emb, order):
+def _every_subset(emb, holds, fail, masks=None):
+    """Test holds(f, row, co) at each subset F of masks, every subset
+    ascending by default, where row is the (c, bc, s, n) profile row of F
+    in G and co that of E - F in G*.  FAIL with fail % F's labels at the
+    first F where it is false; SKIP above 12 edges."""
     g = emb.cellulation
     if g.n_edges > 12:
         return ("SKIP", "more than 12 edges")
+    full = g.full_mask
+    rows = _once(emb, "profile", g.subgraph_profile)
+    co = _once(emb, "dual profile", emb.dual_cellulation.subgraph_profile)
+    for f in range(full + 1) if masks is None else masks:
+        if not holds(f, rows[f], co[full ^ f]):
+            return ("FAIL", fail % sorted(g.mask_labels(f)))
+    return ("PASS", "")
+
+
+def _check_euler_genus(emb, order):
     # c(F) <= bc(F) <= c(F) + n(F), that is 0 <= s(F) <= n(F): every
     # component has a boundary circle, and the Euler genus of the
     # filled-in surface is at most the cycle rank
-    nv = g.n_vertices
-    for f in _all_masks(g):
-        c = g.components(f)
-        if not c <= g.boundary_components(f) <= f.bit_count() - nv + 2 * c:
-            return ("FAIL", "Euler count broken at F=%s" % sorted(g.mask_labels(f)))
-    return ("PASS", "")
+    return _every_subset(emb, lambda f, row, co: 0 <= row[2] <= row[3],
+                         "Euler count broken at F=%s")
 
 
 def _check_orientable_parity(emb, order):
     g = emb.cellulation
-    if g.n_edges > 12:
-        return ("SKIP", "more than 12 edges")
-    for f in _all_masks(g):
-        if g.is_orientable(f) and g.genus_s(f) % 2 != 0:
-            return ("FAIL", "odd s on orientable F=%s" % sorted(g.mask_labels(f)))
-    return ("PASS", "")
+    return _every_subset(
+        emb, lambda f, row, co: row[2] % 2 == 0 or not g.is_orientable(f),
+        "odd s on orientable F=%s")
 
 
 def _check_dual_involution(emb, order):
@@ -180,15 +185,17 @@ def _check_partial_dual_counts(emb, order):
     if g.n_edges > 10:
         return ("SKIP", "more than 10 edges")
     full = g.full_mask
+    rows = _once(emb, "profile", g.subgraph_profile)
     orient = g.is_orientable()
-    for h in _all_masks(g):
+    for h in range(full + 1):
         gh = g.partial_dual(h)
+        # v(G^H) is read off the walk of H in G, so check it on H alone
         if gh.n_vertices != g.restrict(h).boundary_components():
             return ("FAIL", "v(G^H) != bc(F_H) at H=%s" % sorted(g.mask_labels(h)))
-        if gh.boundary_components() != g.boundary_components(full ^ h):
+        if gh.boundary_components() != rows[full ^ h][1]:
             return ("FAIL", "bc(G^H) != bc of complement at H=%s"
                     % sorted(g.mask_labels(h)))
-        if gh.components() != g.components():
+        if gh.components() != rows[full][0]:
             return ("FAIL", "partial dual changed component count")
         if gh.is_orientable() != orient:
             return ("FAIL", "partial dual changed orientability")
@@ -200,7 +207,7 @@ def _check_partial_dual_composition(emb, order):
     e = g.n_edges
     full = g.full_mask
     if e <= 5:
-        pairs = [(a, b) for a in _all_masks(g) for b in _all_masks(g)]
+        pairs = [(a, b) for a in range(full + 1) for b in range(full + 1)]
     else:
         rng = XorShift64Star(e * 2654435761 + 17)
         pairs = [(rng.below(full + 1), rng.below(full + 1)) for _ in range(25)]
@@ -213,28 +220,18 @@ def _check_partial_dual_composition(emb, order):
 
 
 def _check_boundary_duality(emb, order):
-    g = emb.cellulation
-    if g.n_edges > 12:
-        return ("SKIP", "more than 12 edges")
-    d = emb.dual_cellulation
-    full = g.full_mask
-    for f in _all_masks(g):
-        if g.boundary_components(f) != d.boundary_components(full ^ f):
-            return ("FAIL", "bc duality broken at F=%s" % sorted(g.mask_labels(f)))
-    return ("PASS", "")
+    return _every_subset(emb, lambda f, row, co: row[1] == co[1],
+                         "bc duality broken at F=%s")
 
 
 def _check_surface_complement(emb, order):
-    g = emb.cellulation
-    if g.n_edges > 12:
-        return ("SKIP", "more than 12 edges")
-    _, _, delta = emb.surface_invariants()
-    for f in _submasks(emb.marked_mask):
-        c_minus, s_perp, k = emb.complement_invariants(f)
-        if 2 * g.nullity(f) != 2 * k + delta + g.genus_s(f) - s_perp:
-            return ("FAIL", "nullity relation broken at F=%s"
-                    % sorted(g.mask_labels(f)))
-    return ("PASS", "")
+    # 2n(F) = 2k + delta + s(F) - s_perp(F), with c(Sigma - F) and
+    # s_perp(F) read off E - F in G* and k = c(Sigma - F) - c(G)
+    c, _, delta = emb.surface_invariants()
+    return _every_subset(
+        emb,
+        lambda f, row, co: 2 * row[3] == 2 * (co[0] - c) + delta + row[2] - co[2],
+        "nullity relation broken at F=%s", _submasks(emb.marked_mask))
 
 
 def _check_duality_swap(emb, order):
@@ -328,7 +325,7 @@ def _check_partial_duality_connectivity(emb, order):
     e = g.n_edges
     full = g.full_mask
     if e <= 8:
-        amasks = list(_all_masks(g))
+        amasks = list(range(full + 1))
     else:
         rng = XorShift64Star(e * 11400714819323198485 + 3)
         amasks = [rng.below(full + 1) for _ in range(16)]
@@ -350,7 +347,7 @@ def _check_matroid_axioms(emb, order):
     mg = emb.underlying_marked_graph()
     if mg.n_edges > 8:
         return ("SKIP", "more than 8 edges")
-    for r in (cycle_matroid(mg), bond_matroid(mg), cycle_matroid(mg).dual()):
+    for r in (cycle_matroid(mg), bond_matroid(mg)):
         if not satisfies_rank_axioms(r):
             return ("FAIL", "%s violates the rank axioms" % r.name)
     return ("PASS", "")
@@ -363,21 +360,19 @@ def _check_deletion_contraction(emb, order):
     base = _brute_krushkal(emb)
     one_x = 1 + LaurentPoly.variable("X")
     one_y = 1 + LaurentPoly.variable("Y")
-    mg = emb.underlying_marked_graph()
-    marked_labels = [lbl for lbl in g.edge_labels if lbl in emb.marked]
-    for lbl in marked_labels:
-        a, b = g._ends[g.edge_labels.index(lbl)]
-        is_loop = a == b
-        rest = [l for l in marked_labels if l != lbl]
+    marked = emb.marked_mask
+    for ei in _iter_bits(marked):
+        lbl = g.edge_labels[ei]
+        a, b = g._ends[ei]
+        rest = marked ^ (1 << ei)
         deleted = EmbeddedGraph(g, rest)
-        if is_loop:
-            _, _, k = emb.complement_invariants([lbl])
+        if a == b:
+            _, _, k = emb.complement_invariants(1 << ei)
             if k == 1 and base != one_y * krushkal(deleted):
                 return ("FAIL", "separating loop %s fails the (1+Y) factor" % lbl)
             continue
-        contracted = EmbeddedGraph(g.contract(lbl), rest)
-        bridge = mg.components(mg.edge_mask(rest)) > mg.components(mg.edge_mask(marked_labels))
-        if bridge:
+        contracted = EmbeddedGraph(g.contract(lbl), g.mask_labels(rest))
+        if g.components(rest) > g.components(marked):
             if base != one_x * krushkal(contracted):
                 return ("FAIL", "bridge %s fails the (1+X) factor" % lbl)
         else:

@@ -28,10 +28,10 @@ neighbourhoods of F in G and of E-F in G* share one boundary, so
 bc_G*(E-F) = bc_G(F), and s(F) and s_perp(F) both follow.  The Las
 Vergnas sum takes r(F) = v - c_G(F) and rb(F) = |F| - c_G*(E-F) +
 c_G*(E), tallies X^(r(E)-r(F)) Y^(|F|-rb(F)) Z^(...) and substitutes X-1
-and Y-1 once at the end.  EmbeddedGraph.complement_invariants still walks
-the dual for s_perp: the surface-complement check tests
-2n(F) = 2k + delta + s(F) - s_perp(F) with it, an identity that would hold
-by algebra alone if s_perp took bc from G.
+and Y-1 once at the end.  The surface-complement check reads s_perp from
+the subgraph profile of G*, a walk of the dual, not from this sweep: it
+tests 2n(F) = 2k + delta + s(F) - s_perp(F), which would hold by algebra
+alone if s_perp took bc from G.
 
 Conventions.  The Tutte polynomial uses the Whitney-rank normalization
 T(X, Y) = sum over F of X^(c(F)-c(G)) Y^(n(F)), a translate of the

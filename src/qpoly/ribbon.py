@@ -315,7 +315,7 @@ class RibbonGraph:
         """Whether some vertex-flip assignment clears every twist of the
         subgraph; a twisted loop is never cleared."""
         mask = self._norm_mask(edges)
-        flip = self._flips(mask)
+        flip, _ = self._flips(mask)
         for ei in _iter_bits(mask):
             a, b = self._ends[ei]
             if self._sign[ei] * flip[a] * flip[b] < 0:
@@ -324,8 +324,10 @@ class RibbonGraph:
 
     def _flips(self, mask):
         """A flip sign per vertex, +1 or -1, that clears the twist of every
-        edge of a spanning forest of the subgraph: each vertex takes its
-        sign across the edge that first reaches it, roots keep +1."""
+        edge of a spanning forest of the subgraph, and the component index
+        of every vertex: each vertex takes its sign across the edge that
+        first reaches it, roots keep +1 and number the components in the
+        order of their first vertex."""
         nv = len(self.vertices)
         adj = [[] for _ in range(nv)]
         for ei in _iter_bits(mask):
@@ -334,18 +336,21 @@ class RibbonGraph:
             adj[a].append((b, s))
             adj[b].append((a, s))
         flip = [0] * nv
+        comp = [0] * nv
+        n = 0
         for start in range(nv):
             if flip[start]:
                 continue
-            flip[start] = 1
+            flip[start], comp[start] = 1, n
             stack = [start]
             while stack:
                 x = stack.pop()
                 for y, s in adj[x]:
                     if not flip[y]:
-                        flip[y] = flip[x] * s
+                        flip[y], comp[y] = flip[x] * s, n
                         stack.append(y)
-        return flip
+            n += 1
+        return flip, comp
 
     def subgraph_profile(self):
         """The (c, bc, s, n) vector of every edge subset, indexed by mask.
@@ -381,8 +386,7 @@ class RibbonGraph:
         """
         labels = self.edge_labels
         forest = _forest(self, sorted(range(len(labels)), key=labels.__getitem__))
-        comp = self.components(forest, labels=True)
-        flip = self._flips(forest)
+        flip, comp = self._flips(forest)
         sides = [([], []) for _ in range(max(comp, default=-1) + 1)]
         for v, rot in enumerate(self._rot_idx):
             word = tuple(labels[h >> 1] for h in rot)

@@ -1,0 +1,191 @@
+"""The five per-subset identities of the battery against reference loops
+that recount every subset on its own: a union-find and a corner walk of G
+per subset, and of G* where the identity reads the dual, instead of the
+two subgraph profiles that run_checks shares.  Verdicts and FAIL details
+must agree, also when a count is rigged to be wrong."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from qpoly import checks as checks_mod
+from qpoly.invariants import _submasks
+from qpoly.ribbon import EmbeddedGraph, RibbonGraph
+from qpoly.textio import random_graph
+
+from fixture_graphs import (
+    FIXTURES,
+    disconnected_with_bare_vertex,
+    random_twisted_graphs,
+)
+
+
+def reference_euler_genus(emb, order):
+    g = emb.cellulation
+    if g.n_edges > 12:
+        return ("SKIP", "more than 12 edges")
+    nv = g.n_vertices
+    for f in range(g.full_mask + 1):
+        c = g.components(f)
+        if not c <= g.boundary_components(f) <= f.bit_count() - nv + 2 * c:
+            return ("FAIL", "Euler count broken at F=%s" % sorted(g.mask_labels(f)))
+    return ("PASS", "")
+
+
+def reference_orientable_parity(emb, order):
+    g = emb.cellulation
+    if g.n_edges > 12:
+        return ("SKIP", "more than 12 edges")
+    for f in range(g.full_mask + 1):
+        if g.is_orientable(f) and g.genus_s(f) % 2 != 0:
+            return ("FAIL", "odd s on orientable F=%s" % sorted(g.mask_labels(f)))
+    return ("PASS", "")
+
+
+def reference_partial_dual_counts(emb, order):
+    g = emb.cellulation
+    if g.n_edges > 10:
+        return ("SKIP", "more than 10 edges")
+    full = g.full_mask
+    orient = g.is_orientable()
+    for h in range(full + 1):
+        gh = g.partial_dual(h)
+        if gh.n_vertices != g.restrict(h).boundary_components():
+            return ("FAIL", "v(G^H) != bc(F_H) at H=%s" % sorted(g.mask_labels(h)))
+        if gh.boundary_components() != g.boundary_components(full ^ h):
+            return ("FAIL", "bc(G^H) != bc of complement at H=%s"
+                    % sorted(g.mask_labels(h)))
+        if gh.components() != g.components():
+            return ("FAIL", "partial dual changed component count")
+        if gh.is_orientable() != orient:
+            return ("FAIL", "partial dual changed orientability")
+    return ("PASS", "")
+
+
+def reference_boundary_duality(emb, order):
+    g = emb.cellulation
+    if g.n_edges > 12:
+        return ("SKIP", "more than 12 edges")
+    d = emb.dual_cellulation
+    full = g.full_mask
+    for f in range(full + 1):
+        if g.boundary_components(f) != d.boundary_components(full ^ f):
+            return ("FAIL", "bc duality broken at F=%s" % sorted(g.mask_labels(f)))
+    return ("PASS", "")
+
+
+def reference_surface_complement(emb, order):
+    g = emb.cellulation
+    if g.n_edges > 12:
+        return ("SKIP", "more than 12 edges")
+    _, _, delta = emb.surface_invariants()
+    for f in _submasks(emb.marked_mask):
+        c_minus, s_perp, k = emb.complement_invariants(f)
+        if 2 * g.nullity(f) != 2 * k + delta + g.genus_s(f) - s_perp:
+            return ("FAIL", "nullity relation broken at F=%s"
+                    % sorted(g.mask_labels(f)))
+    return ("PASS", "")
+
+
+REFERENCES = {
+    "euler-genus": reference_euler_genus,
+    "orientable-parity": reference_orientable_parity,
+    "partial-dual-counts": reference_partial_dual_counts,
+    "boundary-duality": reference_boundary_duality,
+    "surface-complement": reference_surface_complement,
+}
+
+
+def marked_pieces(g, mask):
+    """The number of components of the marked subgraph that hold edges."""
+    return sum(1 for comp in g.restrict(mask).split_components() if comp.n_edges)
+
+
+def documents():
+    """The fixtures, the pinned random graphs, and random documents with
+    5 to 8, 11 and 12 edges: cellular, marked at random, and marked in two
+    or more pieces."""
+    docs = [EmbeddedGraph(make()) for make in FIXTURES.values()]
+    docs += [EmbeddedGraph(g) for g in
+             random_twisted_graphs() + [disconnected_with_bare_vertex()]]
+    rng = random.Random(67)
+    for seed in range(1, 17):
+        e = 5 + seed % 4 if seed <= 14 else 11 + seed % 2
+        g = random_graph(rng.randint(1, 6), e,
+                         rng.choice((0, Fraction(3, 10))), seed=seed)
+        docs.append(EmbeddedGraph(g))
+        docs.append(EmbeddedGraph(g, rng.randrange(g.full_mask + 1)))
+        for _ in range(50):
+            mask = rng.randrange(g.full_mask + 1)
+            if marked_pieces(g, mask) >= 2:
+                docs.append(EmbeddedGraph(g, mask))
+                break
+    return docs
+
+
+DOCUMENTS = documents()
+
+
+def test_documents_cover_markings_and_sizes():
+    split = [emb for emb in DOCUMENTS
+             if marked_pieces(emb.cellulation, emb.marked_mask) >= 2]
+    assert len(DOCUMENTS) >= 60
+    assert sum(not emb.is_cellular for emb in DOCUMENTS) >= 25
+    assert len(split) >= 10
+    assert {11, 12} <= {emb.cellulation.n_edges for emb in DOCUMENTS}
+
+
+@pytest.fixture(autouse=True)
+def battery_of_five(monkeypatch):
+    """run_checks with the five identities only, in battery order."""
+    monkeypatch.setattr(checks_mod, "CHECKS", tuple(
+        (name, fn) for name, fn in checks_mod.CHECKS if name in REFERENCES))
+
+
+def compare_with_references(emb):
+    order = emb.cellulation.edge_labels
+    results = {name: (status, detail)
+               for name, status, detail in checks_mod.run_checks(emb, order)}
+    assert list(results) == [name for name, _ in checks_mod.CHECKS]
+    for name, reference in REFERENCES.items():
+        assert results[name] == reference(emb, order), (emb, name)
+    return results
+
+
+def test_identities_match_the_reference_loops():
+    for emb in DOCUMENTS:
+        results = compare_with_references(emb)
+        assert all(results[name][0] == "PASS" for name in REFERENCES
+                   if name != "partial-dual-counts" or emb.cellulation.n_edges <= 10)
+
+
+def shift_dual_boundary_count(emb):
+    d = emb.dual_cellulation
+    walk = d.boundary_components
+    d.boundary_components = lambda edges=None: walk(edges) + 1
+
+
+@pytest.mark.parametrize("fault,failing", [
+    ("dual-bc", {"boundary-duality", "surface-complement"}),
+    ("orientable", {"orientable-parity"}),
+])
+def test_identities_match_the_reference_loops_under_rigged_counts(
+        monkeypatch, fault, failing):
+    if fault == "orientable":
+        monkeypatch.setattr(RibbonGraph, "is_orientable",
+                            lambda self, edges=None: True)
+    caught = {name: 0 for name in failing}
+    for emb in DOCUMENTS:
+        if emb.cellulation.n_edges > 8:
+            continue
+        if fault == "dual-bc":
+            # a fresh document, so that no other test sees the rigged dual
+            emb = EmbeddedGraph(emb.cellulation, emb.marked_mask)
+            shift_dual_boundary_count(emb)
+        results = compare_with_references(emb)
+        for name in failing:
+            caught[name] += results[name][0] == "FAIL"
+    # the rigged counts are caught, not only matched: a shifted bc of G*
+    # on every document, a wrong orientability where some s(F) is odd
+    assert all(n >= 20 for n in caught.values()), caught

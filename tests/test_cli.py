@@ -173,6 +173,107 @@ def test_euler_genus_catches_a_lost_boundary_circle(monkeypatch):
     assert status == "FAIL" and detail.startswith("Euler count broken")
 
 
+# qp check output pinned byte for byte: an e = 8 document with twisted
+# edges, an e = 8 document with 6 edges marked, an e = 11 document (above
+# the cap of partial-dual-counts, under that of the other per-subset
+# identities) and an e = 13 document (above every per-subset cap)
+PINNED_CHECK_DOCS = {
+    "e8-twisted": lambda: serialize(random_graph(3, 8, Fraction(3, 10), seed=7)),
+    "e8-marked": lambda: serialize(EmbeddedGraph(
+        random_graph(3, 8, Fraction(3, 10), seed=11),
+        ["e1", "e2", "e4", "e5", "e7", "e8"])),
+    "e11": lambda: serialize(random_graph(4, 11, Fraction(3, 10), seed=5)),
+    "e13": lambda: serialize(random_graph(5, 13, Fraction(3, 10), seed=6)),
+}
+
+PINNED_CHECK_OUTPUT = {
+    "e8-twisted": """\
+PASS euler-genus
+PASS orientable-parity
+PASS dual-involution
+PASS partial-dual-identity
+PASS partial-dual-counts
+PASS partial-dual-composition
+PASS partial-duality-connectivity
+PASS boundary-duality
+PASS surface-complement
+PASS matroid-axioms
+PASS duality-swap
+PASS tutte-specialization
+PASS br-chain
+PASS lv-chain
+PASS krushkal-expansion
+PASS quasitree-partition
+PASS deletion-contraction
+""",
+    "e8-marked": """\
+PASS euler-genus
+PASS orientable-parity
+PASS dual-involution
+PASS partial-dual-identity
+PASS partial-dual-counts
+PASS partial-dual-composition
+PASS partial-duality-connectivity
+PASS boundary-duality
+PASS surface-complement
+PASS matroid-axioms
+SKIP duality-swap (the document marks a proper edge subset)
+PASS tutte-specialization
+PASS br-chain
+SKIP lv-chain (the document marks a proper edge subset)
+SKIP krushkal-expansion (the document marks a proper edge subset)
+PASS quasitree-partition
+PASS deletion-contraction
+""",
+    "e11": """\
+PASS euler-genus
+PASS orientable-parity
+PASS dual-involution
+PASS partial-dual-identity
+SKIP partial-dual-counts (more than 10 edges)
+PASS partial-dual-composition
+PASS partial-duality-connectivity
+PASS boundary-duality
+PASS surface-complement
+SKIP matroid-axioms (more than 8 edges)
+SKIP duality-swap (more than 10 edges)
+SKIP tutte-specialization (more than 10 edges)
+SKIP br-chain (more than 10 edges)
+SKIP lv-chain (more than 10 edges)
+SKIP krushkal-expansion (more than 10 edges)
+PASS quasitree-partition
+SKIP deletion-contraction (more than 10 edges)
+""",
+    "e13": """\
+SKIP euler-genus (more than 12 edges)
+SKIP orientable-parity (more than 12 edges)
+PASS dual-involution
+PASS partial-dual-identity
+SKIP partial-dual-counts (more than 10 edges)
+PASS partial-dual-composition
+PASS partial-duality-connectivity
+SKIP boundary-duality (more than 12 edges)
+SKIP surface-complement (more than 12 edges)
+SKIP matroid-axioms (more than 8 edges)
+SKIP duality-swap (more than 10 edges)
+SKIP tutte-specialization (more than 10 edges)
+SKIP br-chain (more than 10 edges)
+SKIP lv-chain (more than 10 edges)
+SKIP krushkal-expansion (more than 10 edges)
+SKIP quasitree-partition (more than 12 edges)
+SKIP deletion-contraction (more than 10 edges)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHECK_DOCS))
+def test_check_stdout_is_pinned(tmp_path, capsys, name):
+    path = write_doc(tmp_path, PINNED_CHECK_DOCS[name]())
+    code, out, err = run_cli(capsys, "check", "-i", path)
+    assert (code, err) == (0, "")
+    assert out == PINNED_CHECK_OUTPUT[name]
+
+
 KRUSHKAL_IDENTITIES = ("duality-swap", "tutte-specialization", "br-chain",
                        "lv-chain", "krushkal-expansion",
                        "deletion-contraction")
@@ -193,6 +294,24 @@ def test_check_sums_brute_krushkal_once_per_battery(monkeypatch):
         results = checks_mod.run_checks(emb, emb.cellulation.edge_labels)
         assert all(status != "FAIL" for _, status, _ in results)
         assert sum(doc is emb for doc in sums) == 1
+
+
+def test_check_profiles_g_and_its_dual_once_per_battery(monkeypatch):
+    emb = EmbeddedGraph(random_graph(3, 8, Fraction(3, 10), seed=7))
+    graphs = []
+    profile = RibbonGraph.subgraph_profile
+
+    def counted(g):
+        graphs.append(g)
+        return profile(g)
+
+    monkeypatch.setattr(RibbonGraph, "subgraph_profile", counted)
+    for _ in range(2):
+        graphs.clear()
+        results = checks_mod.run_checks(emb, emb.cellulation.edge_labels)
+        assert all(status != "FAIL" for _, status, _ in results)
+        assert sum(g is emb.cellulation for g in graphs) == 1
+        assert sum(g is emb.dual_cellulation for g in graphs) == 1
 
 
 def test_check_reports_raising_krushkal_in_each_identity(monkeypatch):

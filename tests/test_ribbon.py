@@ -506,6 +506,7 @@ def test_component_counts_agree_on_random_masks():
             c = count_by_search(g, mask)
             assert g.components(mask, labels=True) == labels, (g, mask)
             assert mg.components(mask, labels=True) == labels, (g, mask)
+            assert g._flips(mask)[1] == labels, (g, mask)
             assert g.components(mask) == c
             assert mg.components(mask) == c
             assert len(g.restrict(mask).split_components()) == c
