@@ -6,32 +6,17 @@ modules.  The quasi-tree module reproduces these values by structurally
 different sums, which is the point of the whole exercise; these are the
 oracles.
 
-Each oracle is one tally.  One depth-first sweep over the submasks F of
-the marked edges counts (|F|, c_G(F), c_G*(E-F), bc_G(F)), and each
-oracle maps that tally to doubled exponent vectors and builds its
-polynomial once.  The sweep decides one edge per level.  Left out of F,
-the edge joins its ends in a rollback union-find of the dual cellulation
-G*, where the unmarked edges were joined once before the sweep.  Taken
-into F, it joins its ends in a rollback union-find of G, and its two
-ribbon sides replace its two attachment intervals in the corner pairing
-of the boundary walk.  Walking from one end of its first interval to the
-first corner of the edge it meets gives the change of bc: the intervals
-lay on two circles, which join (-1), or on one circle, which splits in
-two (+1) when the walk comes back at the side partner of its start and
-stays one (0) otherwise.  Returning restores the roots and the pairing.
-So a step costs a few finds and the walk of one circle.  Both
-union-finds link with graphs._join, the one that components counts
-with; boundary_components keeps the full walk.  The tests compare the
-sweep with per-subset counts, and the union-find with a breadth-first
-search of their own.  The Krushkal sum reads all four counts: the regular
-neighbourhoods of F in G and of E-F in G* share one boundary, so
-bc_G*(E-F) = bc_G(F), and s(F) and s_perp(F) both follow.  The Las
-Vergnas sum takes r(F) = v - c_G(F) and rb(F) = |F| - c_G*(E-F) +
-c_G*(E), tallies X^(r(E)-r(F)) Y^(|F|-rb(F)) Z^(...) and substitutes X-1
-and Y-1 once at the end.  The surface-complement check reads s_perp from
-the subgraph profile of G*, a walk of the dual, not from this sweep: it
-tests 2n(F) = 2k + delta + s(F) - s_perp(F), which would hold by algebra
-alone if s_perp took bc from G.
+Each oracle is one tally of (|F|, c_G(F), c_G*(E-F), bc_G(F)) over the
+submasks F of the marked edges, counted by the subset sweep ribbon._sweep,
+mapped to doubled exponent vectors, and builds its polynomial once.  The
+Krushkal sum reads all four counts: the regular neighbourhoods of F in G
+and of E-F in G* share one boundary, so bc_G*(E-F) = bc_G(F), and s(F)
+and s_perp(F) both follow.  The Las Vergnas sum takes r(F) = v - c_G(F) and
+rb(F) = |F| - c_G*(E-F) + c_G*(E), tallies X^(r(E)-r(F)) Y^(|F|-rb(F))
+Z^(...) and substitutes X-1 and Y-1 once at the end.  The
+surface-complement check reads s_perp from G*'s own sweep, the subgraph
+profile of the dual, not from bc_G: it tests 2n(F) = 2k + delta + s(F) -
+s_perp(F), which would hold by algebra alone if s_perp took bc from G.
 
 Conventions.  The Tutte polynomial uses the Whitney-rank normalization
 T(X, Y) = sum over F of X^(c(F)-c(G)) Y^(n(F)), a translate of the
@@ -45,9 +30,9 @@ from __future__ import annotations
 
 import enum
 
-from .graphs import MultiGraph, _join
+from .graphs import MultiGraph
 from .laurent import HalfExp, LaurentPoly
-from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _iter_bits
+from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _sweep
 
 __all__ = [
     "PolyKind",
@@ -78,47 +63,13 @@ def _submasks(mask):
 
 def _tally(g, marked, d=None):
     """{(|F|, c_g(F), c_d(E-F), bc_g(F)): count} over the submasks F of
-    marked, by the depth-first sweep of the module docstring.
-
-    d is a graph on the same edges, the dual cellulation for the Krushkal
-    and Las Vergnas sums; c_d is 0 without it.  bc is tracked when g is a
-    RibbonGraph and is 0 otherwise.
-    """
-    order = list(_iter_bits(marked))
-    depth = len(order)
-    ends = g._ends
-    parent = list(range(g.n_vertices))
-    link = g._link(0) if isinstance(g, RibbonGraph) else None
-
-    c_d = 0
-    if d is not None:
-        d_ends = d._ends
-        d_parent = list(range(d.n_vertices))
-        c_d = d.n_vertices - sum(_join(d_parent, d_ends[ei]) >= 0
-                                 for ei in _iter_bits(g.full_mask ^ marked))
+    marked, from ribbon._sweep with the same g and d."""
     acc = {}
 
-    def visit(i, k, c, c_d, bc):
-        if i == depth:
-            key = (k, c, c_d, bc)
-            acc[key] = acc.get(key, 0) + 1
-            return
-        ei = order[i]
-        r = -1 if d is None else _join(d_parent, d_ends[ei])
-        visit(i + 1, k, c, c_d - (r >= 0), bc)
-        if r >= 0:
-            d_parent[r] = r
-        r = _join(parent, ends[ei])
-        if link is None:
-            visit(i + 1, k + 1, c - (r >= 0), c_d, bc)
-        else:
-            visit(i + 1, k + 1, c - (r >= 0), c_d, bc + g._splice(link, ei))
-            g._unsplice(link, ei)
-        if r >= 0:
-            parent[r] = r
+    def leaf(f, *key):
+        acc[key] = acc.get(key, 0) + 1
 
-    # bc of the empty subset: one circle per vertex disc
-    visit(0, 0, g.n_vertices, c_d, 0 if link is None else g.n_vertices)
+    _sweep(g, marked, d, leaf)
     return acc
 
 

@@ -21,9 +21,10 @@ walk once, and reaches each other quasi-tree by a principal pivot
 transform of the rows on one or two edges, so it costs about the number
 of quasi-trees and never scans the 2^e subsets.  Liveness is one AND of a
 row with the mask of the lower edges, orientability the diagonal bit.
-quasi_tree_masks stays the 2^e boundary-walk scan, the independent oracle
-of the descent.  ActivityPartition is the label view of the class masks,
-and VertexWord (one_vertex_word) spells the word out for display.
+quasi_tree_masks, the subsets with bc = 1 read off the 2^e subset sweep
+of the brute-force sums, stays the independent oracle of the descent.
+ActivityPartition is the label view of the class masks, and VertexWord
+(one_vertex_word) spells the word out for display.
 
 expansion_krushkal sums one closed-form term per quasi-tree.  The
 Bollobas-Riordan and Las Vergnas expansions are its images under the
@@ -37,7 +38,7 @@ from __future__ import annotations
 from .graphs import MultiGraph, _forest
 from .invariants import PolyKind, _submasks, specialize, tutte
 from .laurent import LaurentPoly
-from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _iter_bits
+from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _iter_bits, _sweep
 
 __all__ = [
     "VertexWord",
@@ -97,11 +98,13 @@ class VertexWord:
 
 
 def quasi_tree_masks(g):
-    """Bitmasks of all spanning subgraphs with one boundary circle."""
+    """Ascending bitmasks of all spanning subgraphs with one boundary circle."""
     if g.components() != 1:
         raise RibbonError("quasi-trees are defined for connected graphs")
-    return [mask for mask in range(g.full_mask + 1)
-            if g.boundary_components(mask) == 1]
+    out = []
+    _sweep(g, g.full_mask, None,
+           lambda f, k, c, _, bc: bc == 1 and out.append(f))
+    return out
 
 
 def one_vertex_word(g, q):

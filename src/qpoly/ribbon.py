@@ -26,7 +26,20 @@ boundary count bc(H), the vertices of the partial dual G^H (one per
 circle, its rotation the half-edges crossed), and so the vertex word of
 G^Q for a quasi-tree Q.  Moving one edge into H changes the pairing at
 its four corners only, so _splice finds the new bc by walking the one
-circle through them; the brute-force sums sweep the subsets that way.
+circle through them.
+
+_sweep is the one enumeration of the 2^e spanning subgraphs, read by the
+brute-force sums (invariants._tally), by subgraph_profile and so by the
+per-subset identities of the check battery, and by quasi_tree_masks.  It
+decides the edges depth first, highest first and each left out before
+taken in, so the subsets F come ascending.  Left out of F, an edge joins
+its ends in a rollback union-find of the dual cellulation G* (where the
+unmarked edges are joined first); taken in, it joins them in a rollback
+union-find of G, and _splice moves it into the corner pairing.
+Returning restores the roots and the pairing, so a step costs a few
+finds and the walk of one circle.  boundary_components, genus_s and the
+partial duals keep the full walk, which the battery and the tests
+compare with the sweep.
 
 Subsets of edges are bitmasks in edge-declaration order throughout, and
 graphs are capped at 64 edges.  All values are immutable once built;
@@ -35,7 +48,7 @@ operations are pure functions, so everything here is safe to share.
 
 from __future__ import annotations
 
-from .graphs import MultiGraph, _forest
+from .graphs import MultiGraph, _forest, _join
 
 __all__ = [
     "RibbonError",
@@ -67,6 +80,46 @@ def _cyclic_min(seq):
         return tuple(seq)
     seq = tuple(seq)
     return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
+def _sweep(g, marked, d, leaf):
+    """Call leaf(f, |F|, c_g(F), c_d(E-F), bc_g(F)) at each submask F of
+    marked, ascending; d is a graph on the same edges (c_d is 0 without
+    it), and bc is 0 unless g is a RibbonGraph.  One step per marked edge
+    decides it and calls the next lower edge's step; the lowest, leaf."""
+    parent = list(range(g.n_vertices))
+    link = g._link(0) if isinstance(g, RibbonGraph) else None
+    c_d = 0
+    if d is not None:
+        d_parent = list(range(d.n_vertices))
+        c_d = d.n_vertices - sum(_join(d_parent, d._ends[ei]) >= 0
+                                 for ei in _iter_bits(g.full_mask ^ marked))
+
+    def level(ei, down):
+        bit, pair, corners = 1 << ei, g._ends[ei], slice(4 * ei, 4 * ei + 4)
+        d_pair = None if d is None else d._ends[ei]
+        intervals = None if link is None else g._intervals[corners]
+
+        def step(f, k, c, c_d, bc):
+            r = -1 if d_pair is None else _join(d_parent, d_pair)
+            down(f, k, c, c_d - (r >= 0), bc)
+            if r >= 0:
+                d_parent[r] = r
+            r = _join(parent, pair)
+            if link is None:
+                down(f | bit, k + 1, c - (r >= 0), c_d, bc)
+            else:
+                down(f | bit, k + 1, c - (r >= 0), c_d, bc + g._splice(link, ei))
+                link[corners] = intervals
+            if r >= 0:
+                parent[r] = r
+        return step
+
+    step = leaf
+    for ei in _iter_bits(marked):
+        step = level(ei, step)
+    # bc of the empty subset: one circle per vertex disc
+    step(0, 0, g.n_vertices, c_d, 0 if link is None else g.n_vertices)
 
 
 class RibbonGraph:
@@ -292,10 +345,6 @@ class RibbonGraph:
         link[4 * ei:4 * ei + 4] = sides
         return -1 if c == 4 * ei else int(c == sides[1])
 
-    def _unsplice(self, link, ei):
-        """Undo _splice(link, ei): pair ei along its intervals again."""
-        link[4 * ei:4 * ei + 4] = self._intervals[4 * ei:4 * ei + 4]
-
     def boundary_components(self, edges=None):
         """Boundary circles of the ribbon neighbourhood of the subgraph.
 
@@ -361,11 +410,8 @@ class RibbonGraph:
             raise RibbonError("subgraph profile is exponential; refusing e > 16")
         nv = len(self.vertices)
         out = []
-        for mask in range(1 << len(self.edges)):
-            c = self.components(mask)
-            bc = self.boundary_components(mask)
-            k = mask.bit_count()
-            out.append((c, bc, 2 * c - nv + k - bc, k - nv + c))
+        _sweep(self, self.full_mask, None, lambda f, k, c, _, bc:
+               out.append((c, bc, 2 * c - nv + k - bc, k - nv + c)))
         return tuple(out)
 
     def switching_form(self):

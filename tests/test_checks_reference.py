@@ -1,9 +1,11 @@
 """The five per-subset identities of the battery against reference loops
 that recount every subset on its own: a union-find and a corner walk of G
 per subset, and of G* where the identity reads the dual, instead of the
-two subgraph profiles that run_checks shares.  Verdicts and FAIL details
-must agree, also when a count is rigged to be wrong."""
+two subgraph profiles, filled by the subset sweep, that run_checks
+shares.  Verdicts and FAIL details must agree, also when a count is
+rigged to be wrong."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -160,10 +162,12 @@ def test_identities_match_the_reference_loops():
                    if name != "partial-dual-counts" or emb.cellulation.n_edges <= 10)
 
 
-def shift_dual_boundary_count(emb):
+def cross_dual_ribbon_sides(emb):
+    """Rig the bc of G* where both the subset sweep and the full walk read
+    it: every edge of G* pairs its corners along the ribbon sides of the
+    opposite twist."""
     d = emb.dual_cellulation
-    walk = d.boundary_components
-    d.boundary_components = lambda edges=None: walk(edges) + 1
+    d._sides = tuple((s[1], s[0], s[3], s[2]) for s in d._sides)
 
 
 @pytest.mark.parametrize("fault,failing", [
@@ -182,10 +186,28 @@ def test_identities_match_the_reference_loops_under_rigged_counts(
         if fault == "dual-bc":
             # a fresh document, so that no other test sees the rigged dual
             emb = EmbeddedGraph(emb.cellulation, emb.marked_mask)
-            shift_dual_boundary_count(emb)
+            cross_dual_ribbon_sides(emb)
         results = compare_with_references(emb)
         for name in failing:
             caught[name] += results[name][0] == "FAIL"
-    # the rigged counts are caught, not only matched: a shifted bc of G*
-    # on every document, a wrong orientability where some s(F) is odd
+    # the rigged counts are caught, not only matched: the bc of G* with
+    # crossed sides, a wrong orientability where some s(F) is odd
     assert all(n >= 20 for n in caught.values()), caught
+
+
+def test_a_lost_split_in_the_subset_sweep_fails_the_battery(monkeypatch):
+    # every seventh split that the splice finds is lost: the profiles of G
+    # and G* come from the sweep, so the per-subset identities see it
+    splits = itertools.count(1)
+    splice = RibbonGraph._splice
+
+    def lossy(self, link, ei):
+        delta = splice(self, link, ei)
+        return 0 if delta == 1 and next(splits) % 7 == 0 else delta
+
+    monkeypatch.setattr(RibbonGraph, "_splice", lossy)
+    emb = EmbeddedGraph(random_graph(4, 11, Fraction(3, 10), seed=5))
+    results = {name: status for name, status, _ in
+               checks_mod.run_checks(emb, emb.cellulation.edge_labels)}
+    assert results["boundary-duality"] == "FAIL", results
+    assert results["euler-genus"] == "FAIL", results

@@ -3,14 +3,15 @@
 Hypothesis draws random twisted graphs with at most ten edges, sometimes
 disconnected, sometimes with a bare vertex, under a random edge order and
 an optional marking.  Both routes must give the same polynomial wherever
-both are defined, and every document must survive serialize -> parse.
+both are defined, every document must survive serialize -> parse, and
+the identity battery must report no FAIL on it.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qpoly.checks import compute_polynomial
+from qpoly.checks import compute_polynomial, run_checks
 from qpoly.ribbon import EmbeddedGraph, RibbonGraph
 from qpoly.textio import parse, random_graph, serialize
 
@@ -60,3 +61,11 @@ def test_brute_equals_quasitree(doc):
     for kind in kinds:
         assert (compute_polynomial(emb, order, kind, "brute")
                 == compute_polynomial(emb, order, kind, "quasitree")), kind
+
+
+@settings(max_examples=50, deadline=None)
+@given(documents())
+def test_battery_reports_no_fail(doc):
+    emb, order = doc
+    fails = [line for line in run_checks(emb, order) if line[1] == "FAIL"]
+    assert not fails, fails

@@ -16,6 +16,7 @@ from qpoly.invariants import (
 from qpoly.invariants import _submasks, _tally
 from qpoly.laurent import LaurentPoly, parse_poly
 from qpoly.matroid import bond_matroid, cycle_matroid
+from qpoly.quasitrees import quasi_tree_masks
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 
 from fixture_graphs import (
@@ -332,14 +333,31 @@ def markings(g, rng):
     return out
 
 
+def profile_by_definition(g):
+    """The (c, bc, s, n) row of every mask, c by breadth-first search and
+    bc by a fresh corner walk."""
+    nv = g.n_vertices
+    rows = []
+    for f in range(g.full_mask + 1):
+        c, bc, k = count_by_search(g, f), g.boundary_components(f), f.bit_count()
+        rows.append((c, bc, 2 * c - nv + k - bc, k - nv + c))
+    return tuple(rows)
+
+
 def test_sweep_matches_per_mask_counts():
     rng = random.Random(31)
     graphs = [make() for make in FIXTURES.values()]
     graphs += random_twisted_graphs()
     graphs.append(disconnected_with_bare_vertex())
     graphs.append(RibbonGraph([("v", ()), ("w", ())], []))
-    split = 0
+    split = connected = 0
     for g in graphs:
+        rows = profile_by_definition(g)
+        assert g.subgraph_profile() == rows, g
+        if count_by_search(g, g.full_mask) == 1:
+            connected += 1
+            assert quasi_tree_masks(g) == [f for f, row in enumerate(rows)
+                                           if row[1] == 1], g
         d = EmbeddedGraph(g).dual_cellulation
         for mask in markings(g, rng):
             split += mask != 0 and g.components(mask) > g.components()
@@ -347,4 +365,4 @@ def test_sweep_matches_per_mask_counts():
             assert _tally(g, mask, d) == want, (g, mask)
             assert _tally(g, mask) == collapse(want, {0, 1, 3}), (g, mask)
             assert _tally(g.underlying_graph(), mask, d) == collapse(want, {0, 1, 2}), (g, mask)
-    assert split > 0
+    assert split > 0 and connected >= 10
