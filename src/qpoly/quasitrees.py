@@ -38,7 +38,7 @@ from __future__ import annotations
 from .graphs import MultiGraph, _forest
 from .invariants import PolyKind, _submasks, specialize, tutte
 from .laurent import LaurentPoly
-from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _iter_bits, _sweep
+from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _sweep
 
 __all__ = [
     "VertexWord",
@@ -228,16 +228,20 @@ def _pivot(rows, e, free):
     """(X, rows of the interlace matrix of Q xor X) for the principal
     pivot transform of Q's rows on X = {e} if e's diagonal bit is set, else
     on X = {e, f} for the lowest f in free linking e.  A[X] is then
-    nonsingular over GF(2), so Q xor X is a quasi-tree."""
+    nonsingular over GF(2), so Q xor X is a quasi-tree.  Only the rows of
+    the edges linking e or f change: the loops walk the set bits of that
+    mask, and read the rewritten rows e and f once."""
     rows = list(rows)
     be = 1 << e
     re = rows[e]
     if re & be:
         # inverse block [1]: row e stays and every row linking e adds it
         # off the diagonal
-        off = re ^ be
-        for i in _iter_bits(off):
-            rows[i] ^= off
+        off = m = re ^ be
+        while m:
+            low = m & -m
+            rows[low.bit_length() - 1] ^= off
+            m ^= low
         return be, rows
     # A[X] = [[0, 1], [1, a]] with a = A[f][f] has inverse [[a, 1], [1, 0]]
     bf = re & free & -(re & free)
@@ -245,16 +249,20 @@ def _pivot(rows, e, free):
     x = be | bf
     rf = rows[f]
     ye, yf = re & ~x, rf & ~x
-    rows[e] = (yf | bf) ^ (ye | be if rf & bf else 0)
-    rows[f] = ye | be
-    for i in _iter_bits(ye | yf):
+    ne = rows[e] = (yf | bf) ^ (ye | be if rf & bf else 0)
+    nf = rows[f] = ye | be
+    m = ye | yf
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
         row = rows[i]
         new = row & ~x
         if row & be:
-            new ^= rows[e]
+            new ^= ne
         if row & bf:
-            new ^= rows[f]
+            new ^= nf
         rows[i] = new
+        m ^= low
     return x, rows
 
 
@@ -416,14 +424,29 @@ def quasi_tree_partition(g, order=None):
 # the expansions
 
 
-def _minor_key(graph, base, edges):
+def _nonloops(graph):
+    """The mask of graph's edges with two distinct ends."""
+    return sum(1 << ei for ei, (a, b) in enumerate(graph._ends) if a != b)
+
+
+def _minor_key(graph, nonloops, base, edges):
     """(vertex count, end pairs) of the minor on the components of base
     with the edges in the mask edges re-attached: all that its Tutte
-    polynomial reads.  Minors of different quasi-trees often coincide."""
-    comp = graph.components(base, labels=True)
-    pairs = tuple((comp[a], comp[b]) for ei, (a, b) in enumerate(graph._ends)
-                  if (edges >> ei) & 1)
-    return max(comp) + 1, pairs
+    polynomial reads.  Minors of different quasi-trees often coincide.
+
+    A loop never joins two classes, so the union-find labels the
+    components of base & nonloops alone (nonloops = _nonloops(graph),
+    worked out once per graph), and the end pairs are read off the set
+    bits of edges, not off every edge of graph."""
+    comp = graph.components(base & nonloops, labels=True)
+    ends = graph._ends
+    pairs = []
+    while edges:
+        low = edges & -edges
+        a, b = ends[low.bit_length() - 1]
+        pairs.append((comp[a], comp[b]))
+        edges ^= low
+    return max(comp) + 1, tuple(pairs)
 
 
 def _minor_tutte(key, bindings):
@@ -452,10 +475,11 @@ def expansion_krushkal(emb, order=None):
     # a term depends only on the two minors and the two shifts, so count
     # the quasi-trees per distinct term and multiply once per term
     tally = {}
+    g_nonloops, d_nonloops = _nonloops(g), _nonloops(d)
     for _, (di, i_o, i_n, de, e_o, e_n) in _each_quasi_tree(g, order):
         vi, ve = di | i_n, de | e_n
-        key_in = _minor_key(g, vi, i_o)
-        key_out = _minor_key(d, ve, e_o)
+        key_in = _minor_key(g, g_nonloops, vi, i_o)
+        key_out = _minor_key(d, d_nonloops, ve, e_o)
         # A^(s/2) and B^(s/2) shift the doubled A and B exponents by s;
         # s = 2c - v + e - bc with c(F_VI) = v(G_Q), bc(F_VI) = |I_o| + 1
         # and, in the dual, c(R_VE) = v(G*_Q*), bc(R_VE) = |E_o| + 1

@@ -1,9 +1,12 @@
 """Quasi-tree machinery: words, activities, resolution trees, expansions."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
+import qpoly.graphs
+import qpoly.quasitrees
 from qpoly.invariants import bollobas_riordan, krushkal, las_vergnas
 from qpoly.laurent import parse_poly
 from qpoly.quasitrees import (
@@ -11,6 +14,7 @@ from qpoly.quasitrees import (
     _classes,
     _lower_masks,
     _minor_key,
+    _nonloops,
     _walk_rows,
     activities,
     expansion_br,
@@ -22,6 +26,7 @@ from qpoly.quasitrees import (
     resolution_tree,
 )
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
+from qpoly.textio import random_graph
 
 from fixture_graphs import FIXTURES, b1, m1, random_twisted_graphs, t1, th, tv
 
@@ -314,9 +319,10 @@ def minor_counts(g, order, q):
     expansion_krushkal tallies each minor."""
     di, i_o, i_n, de, e_o, e_n = _classes(_walk_rows(g, q),
                                           _lower_masks(g, order), q)
+    d = g.dual()
     return [(key[0], len(key[1]))
-            for key in (_minor_key(g, di | i_n, i_o),
-                        _minor_key(g.dual(), de | e_n, e_o))]
+            for key in (_minor_key(g, _nonloops(g), di | i_n, i_o),
+                        _minor_key(d, _nonloops(d), de | e_n, e_o))]
 
 
 def test_minor_graphs_t1():
@@ -327,6 +333,38 @@ def test_minor_graphs_t1():
 
 def test_minor_graphs_m1():
     assert minor_counts(m1(), None, 1) == [(1, 0), (1, 0)]
+
+
+def test_minor_keys_union_no_loops(monkeypatch):
+    """Every edge of a one-vertex G is a loop, so the G-side minor keys of
+    its expansion make no union-find call at all; a union over all of
+    F_VI per quasi-tree would make one per edge of F_VI."""
+    join, key = qpoly.graphs._join, qpoly.quasitrees._minor_key
+    keyed, joins = [None], []
+
+    def counted_join(parent, ends):
+        joins.append(keyed[0])
+        return join(parent, ends)
+
+    def watched_key(graph, *masks):
+        keyed[0] = graph
+        try:
+            return key(graph, *masks)
+        finally:
+            keyed[0] = None
+
+    monkeypatch.setattr(qpoly.graphs, "_join", counted_join)
+    monkeypatch.setattr(qpoly.quasitrees, "_minor_key", watched_key)
+    graphs = [t1()] + [random_graph(1, 10, Fraction(3, 10), seed=s)
+                       for s in range(1, 4)]
+    dual_joins = 0
+    for g in graphs:
+        joins.clear()
+        expansion_krushkal(g)
+        assert not [graph for graph in joins if graph is g], g
+        dual_joins += sum(graph is not None for graph in joins)
+    # the G* sides have faces to join, so the count itself is live
+    assert dual_joins > 0
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,11 @@
 against reference constructions: pairwise VertexWord.links for liveness,
 the 2^e boundary-walk scan for the quasi-trees, the corner walk of each
 quasi-tree for its interlace rows, and a resolution tree that re-scans the
-whole quasi-tree list at every node."""
+whole quasi-tree list at every node, and a breadth-first search for the
+components behind each minor key."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +16,8 @@ from qpoly.quasitrees import (
     _descent,
     _each_quasi_tree,
     _lower_masks,
+    _minor_key,
+    _nonloops,
     _walk_rows,
     activities,
     expansion_krushkal,
@@ -22,8 +26,13 @@ from qpoly.quasitrees import (
     resolution_tree,
 )
 from qpoly.ribbon import RibbonError, RibbonGraph
+from qpoly.textio import random_graph
 
-from fixture_graphs import FIXTURES, random_twisted_graphs
+from fixture_graphs import (
+    FIXTURES,
+    component_labels_by_search,
+    random_twisted_graphs,
+)
 
 
 def reference_activities(g, order, mask):
@@ -165,3 +174,31 @@ def test_descent_on_edgeless_and_disconnected_graphs():
             resolution_tree(g, ["nope"])
         assert str(err.value) == \
             "edge order must be a permutation of the edge labels"
+
+
+def reference_minor_key(g, base, edges):
+    """The minor key with the components of every edge of base, loops
+    included, found by breadth-first search, and the end pairs of the
+    edges in edges taken in a scan of all of g's edges."""
+    comp = component_labels_by_search(g, base)
+    pairs = tuple((comp[a], comp[b]) for ei, (a, b) in enumerate(g._ends)
+                  if (edges >> ei) & 1)
+    return max(comp) + 1, pairs
+
+
+# one to three vertices and twelve edges: all or most edges are loops in G
+# or in G*, so the non-loop mask decides most keys
+FEW_VERTICES = [("V%d/%d" % (v, s), random_graph(v, 12, Fraction(3, 10), seed=s))
+                for v in (1, 2, 3) for s in (1, 2)]
+
+
+@pytest.mark.parametrize("name,g", GRAPHS + FEW_VERTICES,
+                         ids=[c[0] for c in GRAPHS + FEW_VERTICES])
+def test_minor_keys_match_search(name, g):
+    d = g.dual()
+    g_nonloops, d_nonloops = _nonloops(g), _nonloops(d)
+    for q, (di, i_o, i_n, de, e_o, e_n) in _each_quasi_tree(g, None):
+        assert _minor_key(g, g_nonloops, di | i_n, i_o) == \
+            reference_minor_key(g, di | i_n, i_o), (name, q)
+        assert _minor_key(d, d_nonloops, de | e_n, e_o) == \
+            reference_minor_key(d, de | e_n, e_o), (name, q)
