@@ -8,6 +8,9 @@ whose cost blows up with the edge count skip or sample beyond a fixed
 size, always deterministically.  The per-subset identities read c, bc, s
 and n off RibbonGraph.subgraph_profile() of G and of G*, each computed
 once per battery by ribbon._sweep, the engine of the brute-force sums.
+partial-duality-connectivity reads c(G - B) and c(G^A - B) for every
+subset B of E - A off one such sweep per A, of the graph G/A on the
+classes of A against G^A.
 
 dual-involution and partial-dual-composition compare ribbon graphs
 exactly, by RibbonGraph.switching_form(): a canonical form up to vertex
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 
+from .graphs import MultiGraph
 from .invariants import (
     PolyKind,
     _submasks,
@@ -39,7 +43,7 @@ from .quasitrees import (
     quasi_tree_masks,
     resolution_tree,
 )
-from .ribbon import EmbeddedGraph, RibbonError, _iter_bits
+from .ribbon import EmbeddedGraph, RibbonError, _iter_bits, _sweep
 from .textio import XorShift64Star
 
 __all__ = ["run_checks", "CHECKS", "compute_polynomial"]
@@ -321,6 +325,12 @@ def _check_quasitree_partition(emb, order):
 
 
 def _check_partial_duality_connectivity(emb, order):
+    # (G - B)^A = G^A - B, so c(G - B) = c(G^A - B) for every B in E - A.
+    # One sweep per A over the subsets F of E - A reads both sides: G/A
+    # has the classes of A in G as vertices and every edge of G, so its c
+    # on F is c(G - B) for B = (E - A) - F, and the c_d of G^A is
+    # c(G^A - F).  The map F -> (E - A) - F reverses the ascending order
+    # of the sweep, so the i-th c_d pairs with the (N-1-i)-th c.
     g = emb.cellulation
     e = g.n_edges
     full = g.full_mask
@@ -332,14 +342,26 @@ def _check_partial_duality_connectivity(emb, order):
     for a in amasks:
         ga = g.partial_dual(a)
         rest = full ^ a
-        b = rest
-        while True:
-            if g.components(full ^ b) != ga.components(full ^ b):
-                return ("FAIL", "c(G-B) != c(G^A-B) at A=%s B=%s"
-                        % (sorted(g.mask_labels(a)), sorted(g.mask_labels(b))))
-            if b == 0:
-                break
-            b = (b - 1) & rest
+        comp = g.components(a, labels=True)
+        g_a = MultiGraph(range(max(comp, default=-1) + 1),
+                         [(lbl, comp[u], comp[w])
+                          for lbl, (u, w) in zip(g.edge_labels, g._ends)])
+        cs, ds = [], []
+
+        def leaf(f, k, c, c_d, bc):
+            cs.append(c)
+            ds.append(c_d)
+
+        _sweep(g_a, rest, ga, leaf)
+        ds.reverse()
+        if cs != ds:
+            # cs runs over B descending from E - A, as the witness does
+            b = rest
+            for c, c_d in zip(cs, ds):
+                if c != c_d:
+                    return ("FAIL", "c(G-B) != c(G^A-B) at A=%s B=%s"
+                            % (sorted(g.mask_labels(a)), sorted(g.mask_labels(b))))
+                b = (b - 1) & rest
     return ("PASS", "")
 
 

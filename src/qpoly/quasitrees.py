@@ -437,8 +437,11 @@ def _minor_key(graph, nonloops, base, edges):
     A loop never joins two classes, so the union-find labels the
     components of base & nonloops alone (nonloops = _nonloops(graph),
     worked out once per graph), and the end pairs are read off the set
-    bits of edges, not off every edge of graph."""
-    comp = graph.components(base & nonloops, labels=True)
+    bits of edges, not off every edge of graph.  When base & nonloops is
+    empty, every vertex is a class of its own and no union-find runs."""
+    masked = base & nonloops
+    comp = (graph.components(masked, labels=True) if masked
+            else range(graph.n_vertices))
     ends = graph._ends
     pairs = []
     while edges:

@@ -30,9 +30,11 @@ circle through them.
 
 _sweep is the one enumeration of the 2^e spanning subgraphs, read by the
 brute-force sums (invariants._tally), by subgraph_profile and so by the
-per-subset identities of the check battery, and by quasi_tree_masks.  It
-decides the edges depth first, highest first and each left out before
-taken in, so the subsets F come ascending.  Left out of F, an edge joins
+per-subset identities of the check battery, by the battery's
+partial-duality-connectivity (over the subsets of E - A, against G^A),
+and by quasi_tree_masks.  It decides the edges depth first, highest
+first and each left out before taken in, so the subsets F come
+ascending.  Left out of F, an edge joins
 its ends in a rollback union-find of the dual cellulation G* (where the
 unmarked edges are joined first); taken in, it joins them in a rollback
 union-find of G, and _splice moves it into the corner pairing.
@@ -223,10 +225,9 @@ class RibbonGraph:
             (c + 3, c + 2, c + 1, c) if s > 0 else (c + 2, c + 3, c, c + 1)
             for c, s in zip(range(0, 2 * nh, 4), self._sign))
 
-        # precomputed pieces of the equality relation
-        self._edge_map = {label: (frozenset(pair), sign)
-                          for label, pair, sign in self.edges}
-        self._rot_forms = tuple(sorted(_cyclic_min(r) for _, r in self.vertices))
+        # the tables that == and hash compare are built on first use by
+        # _equality_tables: most graphs, partial duals above all, are never
+        # compared
 
     # ------------------------------------------------------------------
     # basics
@@ -271,14 +272,24 @@ class RibbonGraph:
             eds.append((self.edge_labels[ei], vnames[a], vnames[b]))
         return MultiGraph(vnames, eds)
 
+    def _equality_tables(self):
+        """(edge map, rotation forms): each edge label's half-edge pair
+        and twist, and the sorted cyclic minima of the rotations; computed
+        once and cached on the instance."""
+        if "_rot_forms" not in self.__dict__:
+            self._edge_map = {label: (frozenset(pair), sign)
+                              for label, pair, sign in self.edges}
+            self._rot_forms = tuple(sorted(_cyclic_min(r) for _, r in self.vertices))
+        return self._edge_map, self._rot_forms
+
     def __eq__(self, other):
         if not isinstance(other, RibbonGraph):
             return NotImplemented
-        return (self._edge_map == other._edge_map
-                and self._rot_forms == other._rot_forms)
+        return self._equality_tables() == other._equality_tables()
 
     def __hash__(self):
-        return hash((self._rot_forms, frozenset(self._edge_map.items())))
+        edge_map, rot_forms = self._equality_tables()
+        return hash((rot_forms, frozenset(edge_map.items())))
 
     def __repr__(self):
         return "<RibbonGraph v=%d e=%d>" % (len(self.vertices), len(self.edges))

@@ -1,8 +1,10 @@
-"""The five per-subset identities of the battery against reference loops
-that recount every subset on its own: a union-find and a corner walk of G
-per subset, and of G* where the identity reads the dual, instead of the
-two subgraph profiles, filled by the subset sweep, that run_checks
-shares.  Verdicts and FAIL details must agree, also when a count is
+"""Six identities of the battery against reference loops that recount
+every subset on its own.  For the five per-subset identities that is a
+union-find and a corner walk of G per subset, and of G* where the
+identity reads the dual, instead of the two subgraph profiles, filled by
+the subset sweep, that run_checks shares; for partial-duality-
+connectivity, two union-finds per pair (A, B) instead of one subset
+sweep per A.  Verdicts and FAIL details must agree, also when a count is
 rigged to be wrong."""
 
 import itertools
@@ -12,9 +14,10 @@ from fractions import Fraction
 import pytest
 
 from qpoly import checks as checks_mod
+from qpoly.graphs import MultiGraph
 from qpoly.invariants import _submasks
 from qpoly.ribbon import EmbeddedGraph, RibbonGraph
-from qpoly.textio import random_graph
+from qpoly.textio import XorShift64Star, random_graph
 
 from fixture_graphs import (
     FIXTURES,
@@ -90,10 +93,34 @@ def reference_surface_complement(emb, order):
     return ("PASS", "")
 
 
+def reference_partial_duality_connectivity(emb, order):
+    g = emb.cellulation
+    e = g.n_edges
+    full = g.full_mask
+    if e <= 8:
+        amasks = list(range(full + 1))
+    else:
+        rng = XorShift64Star(e * 11400714819323198485 + 3)
+        amasks = [rng.below(full + 1) for _ in range(16)]
+    for a in amasks:
+        ga = g.partial_dual(a)
+        rest = full ^ a
+        b = rest
+        while True:
+            if g.components(full ^ b) != ga.components(full ^ b):
+                return ("FAIL", "c(G-B) != c(G^A-B) at A=%s B=%s"
+                        % (sorted(g.mask_labels(a)), sorted(g.mask_labels(b))))
+            if b == 0:
+                break
+            b = (b - 1) & rest
+    return ("PASS", "")
+
+
 REFERENCES = {
     "euler-genus": reference_euler_genus,
     "orientable-parity": reference_orientable_parity,
     "partial-dual-counts": reference_partial_dual_counts,
+    "partial-duality-connectivity": reference_partial_duality_connectivity,
     "boundary-duality": reference_boundary_duality,
     "surface-complement": reference_surface_complement,
 }
@@ -139,8 +166,8 @@ def test_documents_cover_markings_and_sizes():
 
 
 @pytest.fixture(autouse=True)
-def battery_of_five(monkeypatch):
-    """run_checks with the five identities only, in battery order."""
+def battery_of_six(monkeypatch):
+    """run_checks with the six identities only, in battery order."""
     monkeypatch.setattr(checks_mod, "CHECKS", tuple(
         (name, fn) for name, fn in checks_mod.CHECKS if name in REFERENCES))
 
@@ -170,15 +197,54 @@ def cross_dual_ribbon_sides(emb):
     d._sides = tuple((s[1], s[0], s[3], s[2]) for s in d._sides)
 
 
+def shifted_partial_dual(partial_dual):
+    """partial_dual, but for A with |A| % 3 == 1 and A != E the partial
+    dual on A and the lowest edge of E - A."""
+    def rigged(self, edges):
+        a = self._norm_mask(edges)
+        rest = self.full_mask ^ a
+        if rest and a.bit_count() % 3 == 1:
+            a |= rest & -rest
+        return partial_dual(self, a)
+    return rigged
+
+
+def swapped_partial_dual(partial_dual):
+    """partial_dual, but for A with |A| % 3 == 1 the two highest edges of
+    E - A trade ends and twists in the result: the first B that holds one
+    of them and not the other comes late in the descending order of B,
+    so the witness is seldom B = E - A."""
+    def rigged(self, edges):
+        a = self._norm_mask(edges)
+        h = partial_dual(self, a)
+        rest = self.full_mask ^ a
+        if rest.bit_count() < 2 or a.bit_count() % 3 != 1:
+            return h
+        j = rest.bit_length() - 1
+        i = (rest ^ (1 << j)).bit_length() - 1
+        eds = list(h.edges)
+        (li, pi, si), (lj, pj, sj) = eds[i], eds[j]
+        eds[i], eds[j] = (li, pj, sj), (lj, pi, si)
+        return RibbonGraph(h.vertices, eds)
+    return rigged
+
+
 @pytest.mark.parametrize("fault,failing", [
     ("dual-bc", {"boundary-duality", "surface-complement"}),
     ("orientable", {"orientable-parity"}),
+    ("partial-dual", {"partial-duality-connectivity"}),
+    ("swapped-ends", {"partial-duality-connectivity"}),
 ])
 def test_identities_match_the_reference_loops_under_rigged_counts(
         monkeypatch, fault, failing):
     if fault == "orientable":
         monkeypatch.setattr(RibbonGraph, "is_orientable",
                             lambda self, edges=None: True)
+    if fault in ("partial-dual", "swapped-ends"):
+        rig = (shifted_partial_dual if fault == "partial-dual"
+               else swapped_partial_dual)
+        monkeypatch.setattr(RibbonGraph, "partial_dual",
+                            rig(RibbonGraph.partial_dual))
     caught = {name: 0 for name in failing}
     for emb in DOCUMENTS:
         if emb.cellulation.n_edges > 8:
@@ -191,7 +257,8 @@ def test_identities_match_the_reference_loops_under_rigged_counts(
         for name in failing:
             caught[name] += results[name][0] == "FAIL"
     # the rigged counts are caught, not only matched: the bc of G* with
-    # crossed sides, a wrong orientability where some s(F) is odd
+    # crossed sides, a wrong orientability where some s(F) is odd, a
+    # partial dual on one edge too many or with two edges' ends traded
     assert all(n >= 20 for n in caught.values()), caught
 
 
@@ -211,3 +278,23 @@ def test_a_lost_split_in_the_subset_sweep_fails_the_battery(monkeypatch):
                checks_mod.run_checks(emb, emb.cellulation.edge_labels)}
     assert results["boundary-duality"] == "FAIL", results
     assert results["euler-genus"] == "FAIL", results
+
+
+def test_partial_duality_connectivity_labels_once_per_a(monkeypatch):
+    # one component labelling of A in G per A, not two union-finds per
+    # pair (A, B): at most 2 * 2^8 calls where the pairs number 3^8
+    calls = []
+    components = MultiGraph.components
+
+    def counted(self, mask=None, labels=False):
+        calls.append(self)
+        return components(self, mask, labels)
+
+    # RibbonGraph shares the function, under its own class attribute
+    monkeypatch.setattr(MultiGraph, "components", counted)
+    monkeypatch.setattr(RibbonGraph, "components", counted)
+    emb = EmbeddedGraph(random_graph(3, 8, Fraction(3, 10), seed=7))
+    status, _ = checks_mod._check_partial_duality_connectivity(
+        emb, emb.cellulation.edge_labels)
+    assert status == "PASS"
+    assert 0 < len(calls) <= 2 * 2 ** 8, len(calls)

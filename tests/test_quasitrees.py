@@ -337,14 +337,21 @@ def test_minor_graphs_m1():
 
 def test_minor_keys_union_no_loops(monkeypatch):
     """Every edge of a one-vertex G is a loop, so the G-side minor keys of
-    its expansion make no union-find call at all; a union over all of
-    F_VI per quasi-tree would make one per edge of F_VI."""
+    its expansion make no union-find call at all, and no components call
+    either; a union over all of F_VI per quasi-tree would make one per
+    edge of F_VI."""
     join, key = qpoly.graphs._join, qpoly.quasitrees._minor_key
-    keyed, joins = [None], []
+    components = RibbonGraph.components
+    keyed, joins, labelled = [None], [], []
 
     def counted_join(parent, ends):
         joins.append(keyed[0])
         return join(parent, ends)
+
+    def counted_components(self, mask=None, labels=False):
+        if keyed[0] is not None:
+            labelled.append(self)
+        return components(self, mask, labels)
 
     def watched_key(graph, *masks):
         keyed[0] = graph
@@ -355,16 +362,20 @@ def test_minor_keys_union_no_loops(monkeypatch):
 
     monkeypatch.setattr(qpoly.graphs, "_join", counted_join)
     monkeypatch.setattr(qpoly.quasitrees, "_minor_key", watched_key)
+    monkeypatch.setattr(RibbonGraph, "components", counted_components)
     graphs = [t1()] + [random_graph(1, 10, Fraction(3, 10), seed=s)
                        for s in range(1, 4)]
-    dual_joins = 0
+    dual_joins = dual_labelled = 0
     for g in graphs:
         joins.clear()
+        labelled.clear()
         expansion_krushkal(g)
         assert not [graph for graph in joins if graph is g], g
+        assert not [graph for graph in labelled if graph is g], g
         dual_joins += sum(graph is not None for graph in joins)
-    # the G* sides have faces to join, so the count itself is live
-    assert dual_joins > 0
+        dual_labelled += len(labelled)
+    # the G* sides have faces to join, so the counts themselves are live
+    assert dual_joins > 0 and dual_labelled > 0
 
 
 # ----------------------------------------------------------------------

@@ -233,9 +233,23 @@ def test_dual_is_involution_on_profiles():
 
 
 def test_partial_dual_of_nothing_is_identity():
-    for name, make in FIXTURES.items():
-        g = make()
-        assert g.partial_dual(0) == g, name
+    graphs = [make() for make in FIXTURES.values()]
+    for g in graphs + random_twisted_graphs() + [disconnected_with_bare_vertex()]:
+        assert g.partial_dual(0) == g, g
+        assert hash(g.partial_dual(0)) == hash(g), g
+
+
+def test_equality_tables_are_built_on_first_comparison():
+    tables = {"_edge_map", "_rot_forms"}
+    g = random_graph(3, 8, Fraction(3, 10), seed=7)
+    for compare in (lambda h: h == g, hash):
+        h = g.partial_dual(5)
+        assert not tables & set(vars(h))
+        compare(h)
+        assert tables <= set(vars(h))
+    # cached or fresh, the tables give the same verdicts
+    assert h == g.partial_dual(5) and hash(h) == hash(g.partial_dual(5))
+    assert h != g
 
 
 def test_partial_dual_of_everything_is_dual():
