@@ -26,7 +26,13 @@ of the brute-force sums, stays the independent oracle of the descent.
 ActivityPartition is the label view of the class masks, and VertexWord
 (one_vertex_word) spells the word out for display.
 
-expansion_krushkal sums one closed-form term per quasi-tree.  The
+expansion_krushkal sums one closed-form term per quasi-tree, read off the
+leaves of the descent alone.  At a leaf the resolved-to-1 edges are VI(Q)
+= DI u I_n, the resolved-to-0 edges VE(Q) = DE u E_n, and the unresolved
+ones I_o u E_o, split by Q.  The descent carries rollback union-finds of
+the 1-edges in G and of the 0-edges in the dual, one union per child, so
+a leaf also knows c(F_VI) and c(R_VE), and each minor is keyed by the
+end pairs of its I_o (or E_o) edges on those classes.  The
 Bollobas-Riordan and Las Vergnas expansions are its images under the
 specialization maps of invariants, so there is one per-quasi-tree sum;
 all of them must agree with the subset-sum oracles in invariants
@@ -35,7 +41,7 @@ coefficient for coefficient.
 
 from __future__ import annotations
 
-from .graphs import MultiGraph, _forest
+from .graphs import MultiGraph, _forest, _join
 from .invariants import PolyKind, _submasks, specialize, tutte
 from .laurent import LaurentPoly
 from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _sweep
@@ -266,50 +272,86 @@ def _pivot(rows, e, free):
     return x, rows
 
 
-def _descent(g, lower):
+def _descent(g, lower, d=None):
     """The resolution tree of g under the order given by lower, in pre-order
-    with the 0-child first: (edge index, ones, zeros, Q, rows) at a node
-    branching on that edge, (None, ones, zeros, Q, rows) at a leaf.  Q is a
-    quasi-tree completing the node's resolution (the one, at a leaf) and
-    rows the interlace rows of Q's vertex word.
+    with the 0-child first: (edge index, ones, zeros, Q, rows, c_g, c_d,
+    g_parent, d_parent) at a node branching on that edge, the same with
+    None for the edge at a leaf.  Q is a quasi-tree completing the node's
+    resolution (the one, at a leaf) and rows the interlace rows of Q's
+    vertex word.
 
     The quasi-trees completing a node are Q xor X for the sets X of edges
     not yet examined with A_Q[X] nonsingular over GF(2) (Bouchet), so the
     next edge e branches exactly when its row meets those edges; otherwise
     it is nugatory.  The child agreeing with Q on e keeps (Q, rows), the
     other one pivots.
+
+    Two rollback union-finds ride along: g_parent holds the edges of ones
+    in g, and d_parent those of zeros in d, a graph on the same edges (the
+    dual cellulation, for the expansion; without d, d_parent is None and
+    c_d 0).  c_g and c_d count their classes.  A child joins the ends of
+    its edge in one of them and the union is undone by resetting the moved
+    root before the next sibling, as in ribbon._sweep, so the lists are
+    only valid at the node just yielded.  At a leaf, ones is VI(Q) = DI u
+    I_n, zeros is VE(Q) = DE u E_n and the unresolved edges are I_o u E_o.
     """
     if g.components() != 1:
         raise RibbonError("quasi-trees are defined for connected graphs")
     desc = sorted(range(len(lower)), key=lower.__getitem__, reverse=True)
+    g_parent, g_ends = list(range(g.n_vertices)), g._ends
+    d_parent, d_ends = ((None, None) if d is None
+                        else (list(range(d.n_vertices)), d._ends))
+    # (union-find, moved root) of every union in force
+    trail = []
     # a spanning tree's ribbon neighbourhood is a disc, so it is a quasi-tree
     q = _forest(g, range(len(g.edges)))
-    stack = [(0, 0, 0, q, _walk_rows(g, q))]
+    stack = [(0, 0, 0, q, _walk_rows(g, q), g.n_vertices,
+              0 if d is None else d.n_vertices, 0)]
     while stack:
-        j, ones, zeros, q, rows = stack.pop()
+        j, ones, zeros, q, rows, c_g, c_d, depth = stack.pop()
+        while len(trail) > depth:
+            parent, r = trail.pop()
+            parent[r] = r
+        if j:
+            # the edge this child decided: into ones joins it in g, into
+            # zeros in d
+            ei = desc[j - 1]
+            if ones >> ei & 1:
+                r = _join(g_parent, g_ends[ei])
+                if r >= 0:
+                    trail.append((g_parent, r))
+                    c_g -= 1
+            elif d_parent is not None:
+                r = _join(d_parent, d_ends[ei])
+                if r >= 0:
+                    trail.append((d_parent, r))
+                    c_d -= 1
         for j in range(j, len(desc)):
             ei = desc[j]
             free = lower[ei] | 1 << ei
             if rows[ei] & free:
                 break
         else:
-            yield None, ones, zeros, q, rows
+            yield None, ones, zeros, q, rows, c_g, c_d, g_parent, d_parent
             continue
-        yield ei, ones, zeros, q, rows
+        yield ei, ones, zeros, q, rows, c_g, c_d, g_parent, d_parent
         bit = 1 << ei
         x, flipped = _pivot(rows, ei, free)
-        keep = (q, rows)
-        flip = (q ^ x, flipped)
-        one, zero = (keep, flip) if q & bit else (flip, keep)
-        stack.append((j + 1, ones | bit, zeros) + one)
-        stack.append((j + 1, ones, zeros | bit) + zero)
+        one = zero = (q, rows)
+        if q & bit:
+            zero = (q ^ x, flipped)
+        else:
+            one = (q ^ x, flipped)
+        depth = len(trail)
+        stack.append((j + 1, ones | bit, zeros, *one, c_g, c_d, depth))
+        stack.append((j + 1, ones, zeros | bit, *zero, c_g, c_d, depth))
 
 
 def _each_quasi_tree(g, order):
     """(Q mask, class masks) for every quasi-tree: the leaves of the
     descent, in resolution-tree order."""
     lower = _lower_masks(g, order)
-    for ei, _, _, q, rows in _descent(g, lower):
+    for ei, _, _, q, rows, *_ in _descent(g, lower):
         if ei is None:
             yield q, _classes(rows, lower, q)
 
@@ -377,7 +419,7 @@ def resolution_tree(g, order=None):
     leaves = []
 
     def build():
-        ei, ones, zeros, q, _ = next(steps)
+        ei, ones, zeros, q, *_ = next(steps)
         node = ResolutionNode(ones, zeros)
         if ei is None:
             node.quasi_tree = q
@@ -424,37 +466,31 @@ def quasi_tree_partition(g, order=None):
 # the expansions
 
 
-def _nonloops(graph):
-    """The mask of graph's edges with two distinct ends."""
-    return sum(1 << ei for ei, (a, b) in enumerate(graph._ends) if a != b)
-
-
-def _minor_key(graph, nonloops, base, edges):
-    """(vertex count, end pairs) of the minor on the components of base
-    with the edges in the mask edges re-attached: all that its Tutte
-    polynomial reads.  Minors of different quasi-trees often coincide.
-
-    A loop never joins two classes, so the union-find labels the
-    components of base & nonloops alone (nonloops = _nonloops(graph),
-    worked out once per graph), and the end pairs are read off the set
-    bits of edges, not off every edge of graph.  When base & nonloops is
-    empty, every vertex is a class of its own and no union-find runs."""
-    masked = base & nonloops
-    comp = (graph.components(masked, labels=True) if masked
-            else range(graph.n_vertices))
-    ends = graph._ends
+def _end_pairs(parent, ends, edges):
+    """The end pairs of the edges in the mask edges, each end replaced by
+    its root in the union-find parent and the roots numbered by first
+    appearance: the minor on the classes of parent with those edges, up to
+    the classes no edge touches, which its Tutte polynomial never sees.
+    Minors of different quasi-trees often coincide."""
+    label = {}
     pairs = []
     while edges:
         low = edges & -edges
         a, b = ends[low.bit_length() - 1]
-        pairs.append((comp[a], comp[b]))
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        pairs.append((label.setdefault(a, len(label)),
+                      label.setdefault(b, len(label))))
         edges ^= low
-    return max(comp) + 1, tuple(pairs)
+    return tuple(pairs)
 
 
-def _minor_tutte(key, bindings):
-    """The Tutte polynomial of the minor with this key, substituted."""
-    n_vertices, pairs = key
+def _minor_tutte(pairs, bindings):
+    """The Tutte polynomial of the minor with these end pairs, on the
+    vertices they touch, substituted."""
+    n_vertices = 1 + max(map(max, pairs), default=-1)
     minor = MultiGraph(range(n_vertices),
                        [(i,) + p for i, p in enumerate(pairs)])
     return tutte(minor).substitute(bindings)
@@ -475,22 +511,26 @@ def expansion_krushkal(emb, order=None):
         raise RibbonError("the Krushkal expansion needs a cellular embedding")
     g = emb.cellulation
     d = emb.dual_cellulation
+    full, g_ends, d_ends = g.full_mask, g._ends, d._ends
+    n_g, n_d = g.n_vertices, d.n_vertices
     # a term depends only on the two minors and the two shifts, so count
     # the quasi-trees per distinct term and multiply once per term
     tally = {}
-    g_nonloops, d_nonloops = _nonloops(g), _nonloops(d)
-    for _, (di, i_o, i_n, de, e_o, e_n) in _each_quasi_tree(g, order):
-        vi, ve = di | i_n, de | e_n
-        key_in = _minor_key(g, g_nonloops, vi, i_o)
-        key_out = _minor_key(d, d_nonloops, ve, e_o)
+    for ei, vi, ve, q, _, c_vi, c_ve, g_parent, d_parent in _descent(
+            g, _lower_masks(g, order), d):
+        if ei is not None:
+            continue
+        # at a leaf VI = ones, VE = zeros and I_o u E_o is unresolved
+        unresolved = full ^ vi ^ ve
+        i_o, e_o = unresolved & q, unresolved & ~q
         # A^(s/2) and B^(s/2) shift the doubled A and B exponents by s;
-        # s = 2c - v + e - bc with c(F_VI) = v(G_Q), bc(F_VI) = |I_o| + 1
-        # and, in the dual, c(R_VE) = v(G*_Q*), bc(R_VE) = |E_o| + 1
-        s_vi = (2 * key_in[0] - g.n_vertices + vi.bit_count()
-                - i_o.bit_count() - 1)
-        s_ve = (2 * key_out[0] - d.n_vertices + ve.bit_count()
-                - e_o.bit_count() - 1)
-        term = (key_in, key_out, s_vi, s_ve)
+        # s = 2c - v + e - bc with c(F_VI) carried by the descent and
+        # bc(F_VI) = |I_o| + 1, and in the dual c(R_VE) and bc(R_VE) =
+        # |E_o| + 1
+        term = (_end_pairs(g_parent, g_ends, i_o),
+                _end_pairs(d_parent, d_ends, e_o),
+                2 * c_vi - n_g + vi.bit_count() - i_o.bit_count() - 1,
+                2 * c_ve - n_d + ve.bit_count() - e_o.bit_count() - 1)
         tally[term] = tally.get(term, 0) + 1
     var = LaurentPoly.variable
     inner = {"Y": var("A")}

@@ -1,21 +1,19 @@
 """Quasi-tree machinery: words, activities, resolution trees, expansions."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-import qpoly.graphs
 import qpoly.quasitrees
 from qpoly.invariants import bollobas_riordan, krushkal, las_vergnas
 from qpoly.laurent import parse_poly
 from qpoly.quasitrees import (
     VertexWord,
-    _classes,
+    _descent,
+    _end_pairs,
     _lower_masks,
-    _minor_key,
-    _nonloops,
-    _walk_rows,
     activities,
     expansion_br,
     expansion_krushkal,
@@ -315,14 +313,17 @@ def test_genus_shift_along_internal_edges():
 
 
 def minor_counts(g, order, q):
-    """(vertices, edges) of G_Q and of G*_Q*, read off the key under which
+    """(vertices, edges) of G_Q and of G*_Q*: the class counts that the
+    descent carries to Q's leaf, and the end pairs of the key under which
     expansion_krushkal tallies each minor."""
-    di, i_o, i_n, de, e_o, e_n = _classes(_walk_rows(g, q),
-                                          _lower_masks(g, order), q)
     d = g.dual()
-    return [(key[0], len(key[1]))
-            for key in (_minor_key(g, _nonloops(g), di | i_n, i_o),
-                        _minor_key(d, _nonloops(d), de | e_n, e_o))]
+    for ei, ones, zeros, leaf_q, _, c_g, c_d, g_parent, d_parent in _descent(
+            g, _lower_masks(g, order), d):
+        if ei is None and leaf_q == q:
+            unresolved = g.full_mask ^ ones ^ zeros
+            return [(c_g, len(_end_pairs(g_parent, g._ends, unresolved & q))),
+                    (c_d, len(_end_pairs(d_parent, d._ends, unresolved & ~q)))]
+    raise AssertionError("%#x is no leaf of the descent" % q)
 
 
 def test_minor_graphs_t1():
@@ -335,47 +336,48 @@ def test_minor_graphs_m1():
     assert minor_counts(m1(), None, 1) == [(1, 0), (1, 0)]
 
 
-def test_minor_keys_union_no_loops(monkeypatch):
-    """Every edge of a one-vertex G is a loop, so the G-side minor keys of
-    its expansion make no union-find call at all, and no components call
-    either; a union over all of F_VI per quasi-tree would make one per
-    edge of F_VI."""
-    join, key = qpoly.graphs._join, qpoly.quasitrees._minor_key
+def test_expansion_labels_no_classes_once_the_descent_runs(monkeypatch):
+    """The union-finds that the descent carries replace every per-quasi-tree
+    labelling: once the descent has yielded its first node, the expansion
+    makes no components call on G or G* and no _classes call."""
+    descent, classes = qpoly.quasitrees._descent, qpoly.quasitrees._classes
     components = RibbonGraph.components
-    keyed, joins, labelled = [None], [], []
+    started, labelled, classified = [False], [], []
 
-    def counted_join(parent, ends):
-        joins.append(keyed[0])
-        return join(parent, ends)
+    def watched_descent(*args):
+        for node in descent(*args):
+            started[0] = True
+            yield node
 
     def counted_components(self, mask=None, labels=False):
-        if keyed[0] is not None:
-            labelled.append(self)
+        labelled.append((started[0], self))
         return components(self, mask, labels)
 
-    def watched_key(graph, *masks):
-        keyed[0] = graph
-        try:
-            return key(graph, *masks)
-        finally:
-            keyed[0] = None
+    def counted_classes(*args):
+        classified.append(started[0])
+        return classes(*args)
 
-    monkeypatch.setattr(qpoly.graphs, "_join", counted_join)
-    monkeypatch.setattr(qpoly.quasitrees, "_minor_key", watched_key)
+    monkeypatch.setattr(qpoly.quasitrees, "_descent", watched_descent)
+    monkeypatch.setattr(qpoly.quasitrees, "_classes", counted_classes)
     monkeypatch.setattr(RibbonGraph, "components", counted_components)
-    graphs = [t1()] + [random_graph(1, 10, Fraction(3, 10), seed=s)
-                       for s in range(1, 4)]
-    dual_joins = dual_labelled = 0
+    graphs = ([t1()] + random_twisted_graphs()
+              + [random_graph(v, 10, Fraction(3, 10), seed=v) for v in (1, 3)])
     for g in graphs:
-        joins.clear()
+        emb = EmbeddedGraph(g)
+        d = emb.dual_cellulation
+        started[0] = False
         labelled.clear()
-        expansion_krushkal(g)
-        assert not [graph for graph in joins if graph is g], g
-        assert not [graph for graph in labelled if graph is g], g
-        dual_joins += sum(graph is not None for graph in joins)
-        dual_labelled += len(labelled)
-    # the G* sides have faces to join, so the counts themselves are live
-    assert dual_joins > 0 and dual_labelled > 0
+        classified.clear()
+        expansion_krushkal(emb)
+        assert started[0], g
+        assert not [graph for late, graph in labelled
+                    if late and (graph is g or graph is d)], g
+        assert not any(classified), g
+        # the spies are live: the descent checks that G is connected before
+        # it yields, and activities classifies the rows
+        assert any(not late and graph is g for late, graph in labelled)
+        activities(g, None, quasi_tree_masks(g)[0])
+        assert classified
 
 
 # ----------------------------------------------------------------------
@@ -411,6 +413,22 @@ def test_expansions_match_oracles_under_all_orders():
             assert expansion_krushkal(emb, order) == kr, (name, order)
             assert expansion_br(g, order) == br, (name, order)
             assert expansion_lv(emb, order) == lv, (name, order)
+
+
+@pytest.mark.parametrize("twist", [Fraction(0), Fraction(1, 10)])
+def test_expansion_is_order_independent_above_brute_reach(twist):
+    """Twenty edges, past what the brute sums reach in a test: the terms of
+    the expansion depend on the edge order and their sum must not, and
+    every spanning subgraph counts once, so the doubled coefficients sum
+    to 2^e."""
+    g = random_graph(12, 20, twist, seed=7)
+    first = expansion_krushkal(g)
+    assert sum(c for _, c in first.items_doubled()) == 1 << g.n_edges
+    rng = random.Random(20)
+    for _ in range(2):
+        order = list(g.edge_labels)
+        rng.shuffle(order)
+        assert expansion_krushkal(g, order) == first, order
 
 
 def test_expansions_reject_disconnected():

@@ -3,7 +3,8 @@ against reference constructions: pairwise VertexWord.links for liveness,
 the 2^e boundary-walk scan for the quasi-trees, the corner walk of each
 quasi-tree for its interlace rows, and a resolution tree that re-scans the
 whole quasi-tree list at every node, and a breadth-first search for the
-components behind each minor key."""
+classes that the descent carries to each leaf and for the components
+behind each minor key."""
 
 import random
 from fractions import Fraction
@@ -15,9 +16,8 @@ from qpoly.quasitrees import (
     _classes,
     _descent,
     _each_quasi_tree,
+    _end_pairs,
     _lower_masks,
-    _minor_key,
-    _nonloops,
     _walk_rows,
     activities,
     expansion_krushkal,
@@ -31,6 +31,7 @@ from qpoly.textio import random_graph
 from fixture_graphs import (
     FIXTURES,
     component_labels_by_search,
+    count_by_search,
     random_twisted_graphs,
 )
 
@@ -138,7 +139,7 @@ def test_activities_reject_non_quasi_trees_like_the_word(name, g):
 @pytest.mark.parametrize("name,g,order", CASES, ids=[c[0] for c in CASES])
 def test_descent_leaves_match_the_scan_and_the_walk(name, g, order):
     lower = _lower_masks(g, order)
-    leaves = [(q, rows) for ei, _, _, q, rows in _descent(g, lower)
+    leaves = [(q, rows) for ei, _, _, q, rows, *_ in _descent(g, lower)
               if ei is None]
     assert sorted(q for q, _ in leaves) == quasi_tree_masks(g), name
     for q, rows in leaves:
@@ -179,26 +180,75 @@ def test_descent_on_edgeless_and_disconnected_graphs():
 def reference_minor_key(g, base, edges):
     """The minor key with the components of every edge of base, loops
     included, found by breadth-first search, and the end pairs of the
-    edges in edges taken in a scan of all of g's edges."""
+    edges in edges taken in a scan of all of g's edges, renumbered by first
+    appearance as the descent's keys are."""
     comp = component_labels_by_search(g, base)
-    pairs = tuple((comp[a], comp[b]) for ei, (a, b) in enumerate(g._ends)
-                  if (edges >> ei) & 1)
-    return max(comp) + 1, pairs
+    label = {}
+    return tuple((label.setdefault(comp[a], len(label)),
+                  label.setdefault(comp[b], len(label)))
+                 for ei, (a, b) in enumerate(g._ends) if (edges >> ei) & 1)
 
 
 # one to three vertices and twelve edges: all or most edges are loops in G
-# or in G*, so the non-loop mask decides most keys
+# or in G*, so most unions of the descent find one class already
 FEW_VERTICES = [("V%d/%d" % (v, s), random_graph(v, 12, Fraction(3, 10), seed=s))
                 for v in (1, 2, 3) for s in (1, 2)]
+# plane and half-twisted draws, each under two shuffled orders
+DRAWS = [("P%d/%d" % (v, s), random_graph(v, 9, twist, seed=s))
+         for twist in (Fraction(0), Fraction(1, 2))
+         for v in (2, 4, 6) for s in (3, 4)]
+
+
+def leaf_cases():
+    rng = random.Random(8)
+    yield from CASES
+    for name, g in FEW_VERTICES:
+        yield name, g, g.edge_labels
+    for name, g in DRAWS:
+        for k in range(2):
+            order = list(g.edge_labels)
+            rng.shuffle(order)
+            yield "%s/%d" % (name, k), g, order
+
+
+LEAF_CASES = list(leaf_cases())
+
+
+@pytest.mark.parametrize("name,g,order", LEAF_CASES,
+                         ids=[c[0] for c in LEAF_CASES])
+def test_descent_leaves_carry_vi_ve_and_their_classes(name, g, order):
+    """At a leaf the 1-edges are VI = DI u I_n, the 0-edges VE = DE u E_n,
+    the unresolved ones I_o u E_o, and the carried class counts are those
+    of VI in G and of VE in G*."""
+    d = g.dual()
+    leaves = 0
+    for ei, ones, zeros, q, _, c_g, c_d, _, _ in _descent(
+            g, _lower_masks(g, order), d):
+        if ei is not None:
+            continue
+        leaves += 1
+        ref = reference_activities(g, order, q)
+        assert set(g.mask_labels(ones)) == ref.vi, (name, q)
+        assert set(g.mask_labels(zeros)) == ref.ve, (name, q)
+        assert set(g.mask_labels(g.full_mask ^ ones ^ zeros)) == \
+            ref.i_o | ref.e_o, (name, q)
+        assert c_g == count_by_search(g, ones), (name, q)
+        assert c_d == count_by_search(d, zeros), (name, q)
+    assert leaves == len(quasi_tree_masks(g)), name
 
 
 @pytest.mark.parametrize("name,g", GRAPHS + FEW_VERTICES,
                          ids=[c[0] for c in GRAPHS + FEW_VERTICES])
 def test_minor_keys_match_search(name, g):
+    """The end pairs read off the carried union-finds at every leaf, with
+    the classes taken from the interlace rows rather than the leaf."""
     d = g.dual()
-    g_nonloops, d_nonloops = _nonloops(g), _nonloops(d)
-    for q, (di, i_o, i_n, de, e_o, e_n) in _each_quasi_tree(g, None):
-        assert _minor_key(g, g_nonloops, di | i_n, i_o) == \
+    lower = _lower_masks(g, None)
+    for ei, _, _, q, rows, _, _, g_parent, d_parent in _descent(g, lower, d):
+        if ei is not None:
+            continue
+        di, i_o, i_n, de, e_o, e_n = _classes(rows, lower, q)
+        assert _end_pairs(g_parent, g._ends, i_o) == \
             reference_minor_key(g, di | i_n, i_o), (name, q)
-        assert _minor_key(d, d_nonloops, de | e_n, e_o) == \
+        assert _end_pairs(d_parent, d._ends, e_o) == \
             reference_minor_key(d, de | e_n, e_o), (name, q)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpoly.graphs import MultiGraph, _forest
-from qpoly.quasitrees import _minor_key, _nonloops
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 from qpoly.textio import random_graph
 
@@ -524,7 +523,6 @@ def test_component_counts_agree_on_random_masks():
             assert g.components(mask) == c
             assert mg.components(mask) == c
             assert len(g.restrict(mask).split_components()) == c
-            assert _minor_key(g, _nonloops(g), mask, 0)[0] == c
 
 
 def kruskal_by_search(g, order):
