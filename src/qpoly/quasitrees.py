@@ -32,14 +32,22 @@ leaves of the descent alone.  At a leaf the resolved-to-1 edges are VI(Q)
 ones I_o u E_o, split by Q.  The descent carries rollback union-finds of
 the 1-edges in G and of the 0-edges in the dual, one union per child, so
 a leaf also knows c(F_VI) and c(R_VE), and each minor is keyed by the
-end pairs of its I_o (or E_o) edges on those classes.  The
-Bollobas-Riordan and Las Vergnas expansions are its images under the
+end pairs of its I_o (or E_o) edges on those classes.  The Tutte
+polynomial of a minor is the product over its blocks: 1 + Y per loop
+and 1 + X per bridge in closed form, and the subset sweep of
+invariants.tutte only on the blocks with two or more edges, once per
+distinct block.  Minor polynomials stay {(i, j): coefficient} dicts;
+the terms sharing an outer minor and a B shift are summed before one
+multiplication by the outer polynomial.
+The Bollobas-Riordan and Las Vergnas expansions are its images under the
 specialization maps of invariants, so there is one per-quasi-tree sum;
 all of them must agree with the subset-sum oracles in invariants
 coefficient for coefficient.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .graphs import MultiGraph, _forest, _join
 from .invariants import PolyKind, _submasks, specialize, tutte
@@ -487,13 +495,100 @@ def _end_pairs(parent, ends, edges):
     return tuple(pairs)
 
 
-def _minor_tutte(pairs, bindings):
-    """The Tutte polynomial of the minor with these end pairs, on the
-    vertices they touch, substituted."""
-    n_vertices = 1 + max(map(max, pairs), default=-1)
-    minor = MultiGraph(range(n_vertices),
-                       [(i,) + p for i, p in enumerate(pairs)])
-    return tutte(minor).substitute(bindings)
+def _blocks(pairs):
+    """(loops, bridges, other blocks) of the multigraph with these end
+    pairs on the vertices 0..n-1: the counts of its one-edge blocks, and
+    the end pairs of each block with two or more edges, in edge order and
+    relabelled by first appearance.
+
+    One iterative Tarjan pass with an edge stack: a vertex remembers the
+    edge it was reached by rather than its parent, so a parallel edge back
+    to the parent is a back edge, and a child v whose subtree has no back
+    edge to above its parent u (low[v] >= disc[u]) closes the block of the
+    edges stacked since the edge u-v.  Loops are blocks of their own and
+    never enter the pass.
+    """
+    n = 1 + max(map(max, pairs), default=-1)
+    adj = [[] for _ in range(n)]
+    loops = 0
+    for i, (a, b) in enumerate(pairs):
+        if a == b:
+            loops += 1
+        else:
+            adj[a].append((b, i))
+            adj[b].append((a, i))
+    disc, low = [0] * n, [0] * n
+    edges, bridges, blocks = [], 0, []
+    time = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        time += 1
+        disc[root] = low[root] = time
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, via, it = stack[-1]
+            for w, i in it:
+                if not disc[w]:
+                    time += 1
+                    disc[w] = low[w] = time
+                    edges.append(i)
+                    stack.append((w, i, iter(adj[w])))
+                    break
+                if i != via and disc[w] < disc[v]:
+                    edges.append(i)
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] < disc[u]:
+                    continue
+                # each edge is stacked once, so the block starts at via
+                k = edges.index(via)
+                block = sorted(edges[k:])
+                del edges[k:]
+                if len(block) == 1:
+                    bridges += 1
+                    continue
+                label = {}
+                blocks.append(tuple(
+                    (label.setdefault(pairs[i][0], len(label)),
+                     label.setdefault(pairs[i][1], len(label)))
+                    for i in block))
+    return loops, bridges, blocks
+
+
+def _minor_tutte(pairs, memo):
+    """{(i, j): coefficient of X^i Y^j} of the Tutte polynomial of the
+    minor with these end pairs.  It is the product over the minor's blocks:
+    (1 + Y) per loop and (1 + X) per bridge, taken together from two
+    binomial rows, and the subset sweep of tutte on every larger block,
+    memoized in memo on the block's relabelled pairs."""
+    loops, bridges, blocks = _blocks(pairs)
+    row_x = [comb(bridges, i) for i in range(bridges + 1)]
+    row_y = [comb(loops, j) for j in range(loops + 1)]
+    poly = {(i, j): cx * cy
+            for i, cx in enumerate(row_x) for j, cy in enumerate(row_y)}
+    for block in blocks:
+        factor = memo.get(block)
+        if factor is None:
+            minor = MultiGraph(range(1 + max(map(max, block))),
+                               [(i,) + p for i, p in enumerate(block)])
+            factor = memo[block] = {
+                (x >> 1, y >> 1): c
+                for (x, y, _, _, _), c in tutte(minor).items_doubled()}
+        product = {}
+        for (i, j), c in poly.items():
+            for (k, l), d in factor.items():
+                key = (i + k, j + l)
+                product[key] = product.get(key, 0) + c * d
+        poly = product
+    return poly
 
 
 def expansion_krushkal(emb, order=None):
@@ -514,7 +609,7 @@ def expansion_krushkal(emb, order=None):
     full, g_ends, d_ends = g.full_mask, g._ends, d._ends
     n_g, n_d = g.n_vertices, d.n_vertices
     # a term depends only on the two minors and the two shifts, so count
-    # the quasi-trees per distinct term and multiply once per term
+    # the quasi-trees per distinct term
     tally = {}
     for ei, vi, ve, q, _, c_vi, c_ve, g_parent, d_parent in _descent(
             g, _lower_masks(g, order), d):
@@ -532,17 +627,26 @@ def expansion_krushkal(emb, order=None):
                 2 * c_vi - n_g + vi.bit_count() - i_o.bit_count() - 1,
                 2 * c_ve - n_d + ve.bit_count() - e_o.bit_count() - 1)
         tally[term] = tally.get(term, 0) + 1
-    var = LaurentPoly.variable
-    inner = {"Y": var("A")}
-    outer = {"X": var("Y"), "Y": var("B")}
-    t_in = {k: _minor_tutte(k, inner) for k in {t[0] for t in tally}}
-    t_out = {k: _minor_tutte(k, outer) for k in {t[1] for t in tally}}
-    acc = {}
+    # T(X, Y) of every distinct minor, both sides sharing one block memo
+    blocks = {}
+    minors = {key: _minor_tutte(key, blocks)
+              for key in {key for term in tally for key in term[:2]}}
+    # sum n T_in(X, A) A^(s_vi/2) over the terms of one (outer minor, B
+    # shift) group, as {(X, doubled A): coefficient}, then multiply each
+    # group by its T_out(Y, B) once
+    groups = {}
     for (key_in, key_out, s_vi, s_ve), n in tally.items():
-        product = t_in[key_in] * t_out[key_out]
-        for (x, y, a, b, z), c in product.items_doubled():
-            key = (x, y, a + s_vi, b + s_ve, z)
-            acc[key] = acc.get(key, 0) + n * c
+        inner = groups.setdefault((key_out, s_ve), {})
+        for (i, j), c in minors[key_in].items():
+            key = (i, 2 * j + s_vi)
+            inner[key] = inner.get(key, 0) + n * c
+    acc = {}
+    for (key_out, s_ve), inner in groups.items():
+        for (k, l), c in minors[key_out].items():
+            y, b = 2 * k, 2 * l + s_ve
+            for (i, a), c_in in inner.items():
+                key = (2 * i, y, a, b, 0)
+                acc[key] = acc.get(key, 0) + c * c_in
     return LaurentPoly(acc)
 
 

@@ -298,3 +298,21 @@ def test_partial_duality_connectivity_labels_once_per_a(monkeypatch):
         emb, emb.cellulation.edge_labels)
     assert status == "PASS"
     assert 0 < len(calls) <= 2 * 2 ** 8, len(calls)
+
+
+def test_partial_duals_are_built_once_per_battery(monkeypatch):
+    # partial-dual-counts and partial-duality-connectivity read every G^A
+    # at e = 8, and share one build of each
+    emb = EmbeddedGraph(random_graph(3, 8, Fraction(3, 10), seed=7))
+    emb.dual_cellulation
+    built = []
+    partial_dual = RibbonGraph.partial_dual
+
+    def counted(self, edges):
+        built.append(self._norm_mask(edges))
+        return partial_dual(self, edges)
+
+    monkeypatch.setattr(RibbonGraph, "partial_dual", counted)
+    results = checks_mod.run_checks(emb, emb.cellulation.edge_labels)
+    assert {status for _, status, _ in results} == {"PASS"}
+    assert sorted(built) == list(range(256))

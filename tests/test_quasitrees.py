@@ -2,18 +2,24 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qpoly.quasitrees
-from qpoly.invariants import bollobas_riordan, krushkal, las_vergnas
-from qpoly.laurent import parse_poly
+from qpoly.checks import compute_polynomial
+from qpoly.graphs import MultiGraph
+from qpoly.invariants import bollobas_riordan, krushkal, las_vergnas, tutte
+from qpoly.laurent import LaurentPoly, parse_poly
 from qpoly.quasitrees import (
     VertexWord,
+    _blocks,
     _descent,
     _end_pairs,
     _lower_masks,
+    _minor_tutte,
     activities,
     expansion_br,
     expansion_krushkal,
@@ -378,6 +384,144 @@ def test_expansion_labels_no_classes_once_the_descent_runs(monkeypatch):
         assert any(not late and graph is g for late, graph in labelled)
         activities(g, None, quasi_tree_masks(g)[0])
         assert classified
+
+
+# ----------------------------------------------------------------------
+# minor Tutte polynomials by blocks
+
+
+def tutte_of_pairs(pairs):
+    n = 1 + max(map(max, pairs), default=-1)
+    return tutte(MultiGraph(range(n), [(i, a, b) for i, (a, b) in enumerate(pairs)]))
+
+
+def as_poly(poly):
+    """A {(i, j): c} minor polynomial as the LaurentPoly sum of c X^i Y^j."""
+    return LaurentPoly({(2 * i, 2 * j, 0, 0, 0): c for (i, j), c in poly.items()})
+
+
+TRIANGLE = ((0, 1), (1, 2), (2, 0))
+X, Y = LaurentPoly.variable("X"), LaurentPoly.variable("Y")
+
+
+@pytest.mark.parametrize("pairs, loops, bridges, blocks", [
+    # a bowtie: two triangles sharing the cut vertex 0
+    (((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)), 0, 0,
+     [TRIANGLE, TRIANGLE]),
+    # a theta graph is one block
+    (((0, 1), (0, 1), (0, 1)), 0, 0, [((0, 1), (0, 1), (0, 1))]),
+    # a path with five edges is five bridges
+    (tuple((i, i + 1) for i in range(5)), 0, 5, []),
+    # a loop at the cut vertex of a path, and one at an end
+    (((0, 1), (1, 1), (1, 2), (2, 2)), 2, 2, []),
+    # parallel edges, then a bridge hanging off them
+    (((0, 1), (1, 0), (1, 2)), 0, 1, [((0, 1), (1, 0))]),
+    # disconnected pieces and an isolated vertex 2: a bridge, a digon, a
+    # loop and a triangle with a pendant bridge
+    (((0, 1), (3, 4), (4, 3), (5, 5), (6, 7), (7, 8), (8, 6), (8, 9)), 1, 2,
+     [((0, 1), (1, 0)), TRIANGLE]),
+    ((), 0, 0, []),
+])
+def test_blocks_of_known_graphs(pairs, loops, bridges, blocks):
+    got_loops, got_bridges, got_blocks = _blocks(pairs)
+    assert (got_loops, got_bridges) == (loops, bridges)
+    assert sorted(got_blocks) == sorted(blocks)
+    assert as_poly(_minor_tutte(pairs, {})) == tutte_of_pairs(pairs)
+
+
+def test_blocks_of_a_bowtie_share_one_memo_entry():
+    memo = {}
+    pairs = ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0))
+    assert as_poly(_minor_tutte(pairs, memo)) == (X ** 2 + 3 * X + 3 + Y) ** 2
+    assert list(memo) == [TRIANGLE]
+
+
+def random_pairs(rng, n, e):
+    """e end pairs on the vertices 0..n-1; loops and parallel edges come
+    often when n is small."""
+    return tuple((rng.randrange(n), rng.randrange(n)) for _ in range(e))
+
+
+def test_block_product_is_tutte_on_random_multigraphs():
+    rng = random.Random(1954)
+    memo = {}
+    for _ in range(300):
+        pairs = random_pairs(rng, rng.randint(1, 7), rng.randint(0, 10))
+        assert as_poly(_minor_tutte(pairs, memo)) == tutte_of_pairs(pairs), pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10)))
+def test_block_product_is_tutte_property(pairs):
+    pairs = tuple(pairs)
+    assert as_poly(_minor_tutte(pairs, {})) == tutte_of_pairs(pairs)
+
+
+def test_block_product_is_tutte_on_every_minor_key():
+    """Every key the expansion tallies on the fixtures and the pinned
+    random graphs, on both sides, with one memo across them all."""
+    memo, seen = {}, set()
+    for g in [make() for make in CONNECTED.values()] + random_twisted_graphs():
+        d = EmbeddedGraph(g).dual_cellulation
+        for ei, ones, zeros, q, _, _, _, g_parent, d_parent in _descent(
+                g, _lower_masks(g, None), d):
+            if ei is None:
+                unresolved = g.full_mask ^ ones ^ zeros
+                seen.add(_end_pairs(g_parent, g._ends, unresolved & q))
+                seen.add(_end_pairs(d_parent, d._ends, unresolved & ~q))
+    assert any(_blocks(key)[2] for key in seen)
+    for key in seen:
+        assert as_poly(_minor_tutte(key, memo)) == tutte_of_pairs(key), key
+
+
+def count_tutte_calls(monkeypatch):
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return tutte(graph)
+
+    monkeypatch.setattr(qpoly.quasitrees, "tutte", counted)
+    return calls
+
+
+def test_expansion_keeps_a_tutte_call_on_blocks(monkeypatch):
+    """The minors of this graph have one block with more than one edge, so
+    the expansion reaches qpoly.quasitrees.tutte (the call that the
+    tracer counts as a minor Tutte polynomial); loops and bridges alone
+    never do."""
+    calls = count_tutte_calls(monkeypatch)
+    expansion_krushkal(random_graph(2, 7, "3/10", seed=3))
+    assert len(calls) >= 1
+    calls.clear()
+    poly = _minor_tutte(((0, 0), (0, 1), (1, 2), (2, 2), (2, 2), (3, 1)), {})
+    assert as_poly(poly) == (1 + X) ** 3 * (1 + Y) ** 3
+    assert calls == []
+
+
+def path(n):
+    """A plane path with n edges e0..e(n-1)."""
+    vertices = [("v0", ("h0a",))]
+    vertices += [("v%d" % i, ("h%db" % (i - 1), "h%da" % i)) for i in range(1, n)]
+    vertices.append(("v%d" % n, ("h%db" % (n - 1),)))
+    return RibbonGraph(vertices, [("e%d" % i, ("h%da" % i, "h%db" % i), "+")
+                                  for i in range(n)])
+
+
+@pytest.mark.parametrize("make", [lambda: path(60),
+                                  lambda: random_graph(61, 60, 0, seed=7)])
+def test_sixty_edge_trees_by_the_quasitree_route(make, monkeypatch):
+    """A tree is its own only quasi-tree and its minor is the tree itself:
+    sixty bridges, so (1 + X)^60 in closed form with no subset sweep."""
+    g = make()
+    calls = count_tutte_calls(monkeypatch)
+    start = time.perf_counter()
+    got = compute_polynomial(EmbeddedGraph(g), g.edge_labels, "krushkal",
+                             "quasitree")
+    assert time.perf_counter() - start < 1.0
+    assert got == (1 + X) ** 60
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
