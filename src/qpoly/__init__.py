@@ -19,7 +19,6 @@ from .invariants import (
 )
 from .laurent import (
     VARIABLES,
-    HalfExp,
     LaurentPoly,
     SubstitutionError,
     parse_poly,
@@ -32,7 +31,6 @@ from .quasitrees import (
     expansion_krushkal,
     expansion_lv,
     one_vertex_word,
-    quasi_tree_partition,
     resolution_tree,
 )
 from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph
@@ -44,7 +42,6 @@ __all__ = [
     "VARIABLES",
     "ActivityPartition",
     "EmbeddedGraph",
-    "HalfExp",
     "LaurentPoly",
     "MultiGraph",
     "ParseError",
@@ -67,7 +64,6 @@ __all__ = [
     "one_vertex_word",
     "parse",
     "parse_poly",
-    "quasi_tree_partition",
     "random_graph",
     "resolution_tree",
     "run_checks",

@@ -357,7 +357,7 @@ def _check_partial_duality_connectivity(emb, order):
         ga = MultiGraph(range(v), [(lbl, x, y)
                                    for lbl, (x, y) in zip(g.edge_labels, ends)])
         rest = full ^ a
-        comp = g.components(a, labels=True)
+        _, comp = g._flips(a)
         g_a = MultiGraph(range(max(comp, default=-1) + 1),
                          [(lbl, comp[u], comp[w])
                           for lbl, (u, w) in zip(g.edge_labels, g._ends)])

@@ -21,7 +21,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .checks import compute_polynomial, run_checks
+from .checks import _component_order, compute_polynomial, run_checks
 from .quasitrees import activities, quasi_tree_masks
 from .ribbon import EmbeddedGraph, RibbonError
 from .textio import ParseError, parse, random_graph, serialize
@@ -65,7 +65,7 @@ def _set(labels):
 def _cmd_quasitrees(args):
     emb, order = _read_document(args.input)
     g = emb.ribbon_subgraph()
-    sub_order = tuple(lbl for lbl in order if lbl in emb.marked)
+    sub_order = _component_order(order, g)
     for qmask in quasi_tree_masks(g):
         ap = activities(g, sub_order, qmask)
         fields = ["Q=%s" % _set(g.mask_labels(qmask))]

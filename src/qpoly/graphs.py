@@ -3,7 +3,10 @@
 This is the underlying-graph side of a ribbon graph: everything a rank
 function or a Tutte sum needs, nothing topological.  Edge subsets are
 bitmasks in edge declaration order, matching the convention used for
-ribbon graphs.
+ribbon graphs.  RibbonGraph borrows the mask helpers, components and
+nullity, since both classes keep the index of every edge label in
+_edge_index and the vertex pair of edge i in _ends[i]; each class names
+the exception its helpers raise in _error.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ class MultiGraph:
     vertices, u == w gives a loop.
     """
 
+    _error = ValueError
+
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         self._vindex = {}
@@ -59,13 +64,13 @@ class MultiGraph:
                 raise ValueError("duplicate vertex %r" % (v,))
             self._vindex[v] = len(self._vindex)
         eds = []
-        self._eindex = {}
+        self._edge_index = {}
         for label, u, w in edges:
             if u not in self._vindex or w not in self._vindex:
                 raise ValueError("edge %r joins undeclared vertices" % (label,))
-            if label in self._eindex:
+            if label in self._edge_index:
                 raise ValueError("duplicate edge label %r" % (label,))
-            self._eindex[label] = len(eds)
+            self._edge_index[label] = len(eds)
             eds.append((label, u, w))
         self.edges = tuple(eds)
         self.edge_labels = tuple(e[0] for e in eds)
@@ -87,9 +92,9 @@ class MultiGraph:
         mask = 0
         for label in labels:
             try:
-                mask |= 1 << self._eindex[label]
+                mask |= 1 << self._edge_index[label]
             except KeyError:
-                raise ValueError("unknown edge %r" % (label,)) from None
+                raise self._error("unknown edge %r" % (label,)) from None
         return mask
 
     def _norm_mask(self, mask):
@@ -97,18 +102,12 @@ class MultiGraph:
             return self.full_mask
         if isinstance(mask, int):
             if mask < 0 or mask > self.full_mask:
-                raise ValueError("edge mask %#x out of range" % mask)
+                raise self._error("edge mask %#x out of range" % mask)
             return mask
         return self.edge_mask(mask)
 
-    def components(self, mask=None, labels=False):
-        """Connected components of the spanning subgraph on the given edges.
-
-        With labels=True, the component index of every vertex instead,
-        components numbered in the order of their first vertex.
-        RibbonGraph shares the method, since both classes keep the vertex
-        pair of edge i in _ends[i].
-        """
+    def components(self, mask=None):
+        """Connected components of the spanning subgraph on the given edges."""
         mask = self._norm_mask(mask)
         parent = list(range(len(self.vertices)))
         ends = self._ends
@@ -118,15 +117,7 @@ class MultiGraph:
             ei = (m & -m).bit_length() - 1
             m &= m - 1
             c -= _join(parent, ends[ei]) >= 0
-        if not labels:
-            return c
-        index = {}
-        comp = []
-        for r in range(len(parent)):
-            while parent[r] != r:
-                r = parent[r]
-            comp.append(index.setdefault(r, len(index)))
-        return comp
+        return c
 
     def nullity(self, mask=None):
         """Cycle-space dimension e(F) - v + c(F) of the spanning subgraph."""

@@ -29,9 +29,10 @@ matroid of G and the bond matroid of the dual cellulation.
 from __future__ import annotations
 
 import enum
+from fractions import Fraction
 
 from .graphs import MultiGraph
-from .laurent import HalfExp, LaurentPoly
+from .laurent import LaurentPoly
 from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _sweep
 
 __all__ = [
@@ -176,7 +177,7 @@ def specialize(p, target, *, delta=None, s=None):
             "A": LaurentPoly.variable("Y"),
             "B": LaurentPoly.term(Y=-1),
         })
-        return LaurentPoly.term(Y=HalfExp(delta)) * sub
+        return LaurentPoly.term(Y=Fraction(delta, 2)) * sub
     if kind is PolyKind.BR:
         if s is None:
             raise ValueError("br specialization needs s of the source graph")
@@ -184,7 +185,7 @@ def specialize(p, target, *, delta=None, s=None):
             "A": LaurentPoly.term(Y=1, Z=2),
             "B": LaurentPoly.term(Y=-1),
         })
-        return LaurentPoly.term(Y=HalfExp(s)) * sub
+        return LaurentPoly.term(Y=Fraction(s, 2)) * sub
     if kind is PolyKind.LV:
         if delta is None:
             raise ValueError("lv specialization needs delta")
@@ -194,5 +195,5 @@ def specialize(p, target, *, delta=None, s=None):
             "A": LaurentPoly.term(Z=-1),
             "B": LaurentPoly.variable("Z"),
         })
-        return LaurentPoly.term(Z=HalfExp(delta)) * sub
+        return LaurentPoly.term(Z=Fraction(delta, 2)) * sub
     raise ValueError("unknown polynomial kind %r" % (target,))

@@ -2,8 +2,10 @@
 
 Exponents live on the half-integer grid and every exponent is stored as a
 doubled integer, so the monomial A^(1/2) carries doubled A-exponent 1 and
-A^-2 carries -4.  Coefficients are plain python ints, hence exact at any
-size.  Polynomials are immutable by convention: no method mutates ``self``
+A^-2 carries -4.  Exponents go in as ints or Fractions in natural units
+(:meth:`LaurentPoly.term`) and come out doubled
+(:meth:`LaurentPoly.items_doubled`).  Coefficients are plain python ints,
+hence exact at any size.  Polynomials are immutable by convention: no method mutates ``self``
 and results are always fresh objects, so values can be shared freely.
 
 The canonical text form sorts terms by descending exponent vector in the
@@ -18,7 +20,6 @@ from fractions import Fraction
 
 __all__ = [
     "VARIABLES",
-    "HalfExp",
     "LaurentPoly",
     "SubstitutionError",
     "parse_poly",
@@ -44,8 +45,6 @@ def _fmt_half(doubled):
 
 def _to_doubled(value):
     """Coerce an exponent given in natural units to its doubled int."""
-    if isinstance(value, HalfExp):
-        return value.doubled
     if isinstance(value, int):
         return 2 * value
     if isinstance(value, Fraction):
@@ -53,50 +52,7 @@ def _to_doubled(value):
         if d.denominator != 1:
             raise ValueError("exponent %s is off the half-integer grid" % value)
         return int(d)
-    raise TypeError("exponent must be an int, Fraction or HalfExp, not %r" % (value,))
-
-
-class HalfExp:
-    """A half-integer exponent, stored as its doubled integer value."""
-
-    __slots__ = ("doubled",)
-
-    def __init__(self, doubled):
-        if not isinstance(doubled, int):
-            raise TypeError("doubled part must be an int")
-        self.doubled = doubled
-
-    @classmethod
-    def of(cls, value):
-        """Build from a value in natural units (int or Fraction)."""
-        return cls(_to_doubled(value))
-
-    @property
-    def value(self):
-        """The exponent as an int when integral, else a Fraction."""
-        if self.doubled % 2 == 0:
-            return self.doubled // 2
-        return Fraction(self.doubled, 2)
-
-    @property
-    def is_integer(self):
-        return self.doubled % 2 == 0
-
-    def __eq__(self, other):
-        if isinstance(other, HalfExp):
-            return self.doubled == other.doubled
-        if isinstance(other, (int, Fraction)):
-            return Fraction(self.doubled, 2) == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(Fraction(self.doubled, 2))
-
-    def __str__(self):
-        return str(Fraction(self.doubled, 2))
-
-    def __repr__(self):
-        return "HalfExp(%d)" % self.doubled
+    raise TypeError("exponent must be an int or Fraction, not %r" % (value,))
 
 
 class LaurentPoly:
@@ -166,12 +122,6 @@ class LaurentPoly:
 
     # ------------------------------------------------------------------
     # structure
-
-    def terms(self):
-        """Yield (exponents, coefficient) pairs in canonical order, where
-        exponents is a tuple of :class:`HalfExp`, one per variable."""
-        for vec in sorted(self._terms, reverse=True):
-            yield tuple(HalfExp(d) for d in vec), self._terms[vec]
 
     def items_doubled(self):
         """The raw (doubled exponent vector, coefficient) pairs."""

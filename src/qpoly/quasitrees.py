@@ -9,7 +9,9 @@ everything else.  An edge is live when no lower-ordered edge interleaves
 with it in the word, and orientable when its loop in the partial dual is
 untwisted.  Crossing liveness with internal/external and orientability
 splits E(G) into six classes, and the subsets VI(Q) union S over choices
-S of live orientable edges partition all 2^e spanning subgraphs.
+S of live orientable edges partition all 2^e spanning subgraphs.  That
+partition is resolution_tree(g, order).leaves: a leaf's ones is VI(Q)
+and its unresolved edges are the live orientable ones, I_o u E_o.
 
 Everything is edge masks internally.  The interlace matrix A_Q of the
 word (A[e][f] = 1 when e and f link, A[e][e] = 1 when e's loop is
@@ -50,7 +52,7 @@ from __future__ import annotations
 from math import comb
 
 from .graphs import MultiGraph, _forest, _join
-from .invariants import PolyKind, _submasks, specialize, tutte
+from .invariants import PolyKind, specialize, tutte
 from .laurent import LaurentPoly
 from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _sweep
 
@@ -63,7 +65,6 @@ __all__ = [
     "one_vertex_word",
     "activities",
     "resolution_tree",
-    "quasi_tree_partition",
     "expansion_krushkal",
     "expansion_br",
     "expansion_lv",
@@ -121,14 +122,22 @@ def quasi_tree_masks(g):
     return out
 
 
+def _one_walk(g, mask):
+    """The vertex word of the partial dual on the quasi-tree mask, as
+    half-edge indexes (empty when g has no edges), and the twists of its
+    loops; RibbonError unless the corner walk of mask has one circle."""
+    walks, signs = g._dual_walks(mask)
+    if len(walks) + g._bare != 1:
+        raise RibbonError("subgraph is not a quasi-tree (bc != 1)")
+    return (walks[0] if walks else ()), signs
+
+
 def one_vertex_word(g, q):
     """The vertex word of partial_dual(g, Q) for a quasi-tree Q, read off
     the corner walk of Q without building the partial dual."""
-    walks, signs = g._dual_walks(g._norm_mask(q))
-    if len(walks) + g._bare != 1:
-        raise RibbonError("subgraph is not a quasi-tree (bc != 1)")
+    word, signs = _one_walk(g, g._norm_mask(q))
     return VertexWord((g.edge_labels[h >> 1], 1 + (h & 1), signs[h >> 1])
-                      for walk in walks for h in walk)
+                      for h in word)
 
 
 class ActivityPartition:
@@ -168,15 +177,6 @@ class ActivityPartition:
         return "<ActivityPartition %s>" % " ".join(parts)
 
 
-def _check_order(g, order):
-    if order is None:
-        return tuple(g.edge_labels)
-    order = tuple(order)
-    if sorted(order) != sorted(g.edge_labels):
-        raise RibbonError("edge order must be a permutation of the edge labels")
-    return order
-
-
 def activities(g, order, q):
     """Classify every edge relative to the quasi-tree q under the order.
 
@@ -191,10 +191,13 @@ def activities(g, order, q):
 
 
 def _lower_masks(g, order):
-    """Check the order; lower[ei] is the mask of the edges strictly below
-    edge ei in it."""
+    """Check the order (None is declaration order); lower[ei] is the mask
+    of the edges strictly below edge ei in it."""
+    order = g.edge_labels if order is None else tuple(order)
+    if sorted(order) != sorted(g.edge_labels):
+        raise RibbonError("edge order must be a permutation of the edge labels")
     lower, below = [0] * len(g.edges), 0
-    for ei in map(g._edge_index.get, _check_order(g, order)):
+    for ei in map(g._edge_index.get, order):
         lower[ei], below = below, below | 1 << ei
     return lower
 
@@ -203,15 +206,13 @@ def _walk_rows(g, mask):
     """The rows of the interlace matrix of the quasi-tree mask, read off
     its corner walk: bit f of row e is set when e and f link in the vertex
     word, bit e when e's loop there is twisted."""
-    walks, signs = g._dual_walks(mask)
-    if len(walks) + g._bare != 1:
-        raise RibbonError("subgraph is not a quasi-tree (bc != 1)")
+    word, signs = _one_walk(g, mask)
     # acc is the running XOR of edge bits along the one vertex word; its
     # values just before the two ends of e differ in e's own bit and in the
     # bits flipped once in between, which are exactly the edges linking e
     rows = [0] * len(g.edges)
     acc = 0
-    for h in walks[0] if walks else ():
+    for h in word:
         rows[h >> 1] ^= acc
         acc ^= 1 << (h >> 1)
     # e's own bit is left set in its row; it stays only if e is twisted
@@ -355,15 +356,6 @@ def _descent(g, lower, d=None):
         stack.append((j + 1, ones, zeros | bit, *zero, c_g, c_d, depth))
 
 
-def _each_quasi_tree(g, order):
-    """(Q mask, class masks) for every quasi-tree: the leaves of the
-    descent, in resolution-tree order."""
-    lower = _lower_masks(g, order)
-    for ei, _, _, q, rows, *_ in _descent(g, lower):
-        if ei is None:
-            yield q, _classes(rows, lower, q)
-
-
 # ----------------------------------------------------------------------
 # resolution tree
 
@@ -422,8 +414,8 @@ def resolution_tree(g, order=None):
     skipped for good, staying unresolved in every leaf below.  Each leaf
     admits exactly one quasi-tree completion.
     """
-    order = _check_order(g, order)
-    steps = _descent(g, _lower_masks(g, order))
+    lower = _lower_masks(g, order)
+    steps = _descent(g, lower)
     leaves = []
 
     def build():
@@ -441,33 +433,9 @@ def resolution_tree(g, order=None):
         return node
 
     root = build()
+    # lower grows along the order
+    order = sorted(g.edge_labels, key=lambda lbl: lower[g._edge_index[lbl]])
     return ResolutionTree(g, order, root, leaves)
-
-
-# ----------------------------------------------------------------------
-# the spanning-subgraph partition
-
-
-def quasi_tree_partition(g, order=None):
-    """Map every spanning subgraph to its quasi-tree.
-
-    Returns {F mask: (Q mask, S mask)} with F = VI(Q) union S and S a
-    subset of the live orientable edges of Q.  The map being total and
-    single-valued is the partition theorem; violations raise.
-    """
-    table = {}
-    for qmask, (di, i_o, i_n, _, e_o, _) in _each_quasi_tree(g, order):
-        vi = di | i_n
-        for smask in _submasks(i_o | e_o):
-            fmask = vi | smask
-            if fmask in table:
-                raise RibbonError("spanning subgraph %#x reached from two "
-                                  "quasi-trees; partition broken" % fmask)
-            table[fmask] = (qmask, smask)
-    if len(table) != g.full_mask + 1:
-        raise RibbonError("partition covers %d of %d spanning subgraphs"
-                          % (len(table), g.full_mask + 1))
-    return table
 
 
 # ----------------------------------------------------------------------

@@ -232,35 +232,20 @@ class RibbonGraph:
     # ------------------------------------------------------------------
     # basics
 
+    _error = RibbonError
     n_vertices = MultiGraph.n_vertices
     n_edges = MultiGraph.n_edges
     full_mask = MultiGraph.full_mask
+    edge_mask = MultiGraph.edge_mask
+    _norm_mask = MultiGraph._norm_mask
 
     def twist(self, label):
         """The sign of an edge, +1 or -1."""
         return self._sign[self.edge_mask((label,)).bit_length() - 1]
 
-    def edge_mask(self, labels):
-        mask = 0
-        for label in labels:
-            try:
-                mask |= 1 << self._edge_index[label]
-            except KeyError:
-                raise RibbonError("unknown edge %r" % (label,)) from None
-        return mask
-
     def mask_labels(self, mask):
         """Edge labels of a bitmask, in declaration order."""
         return tuple(self.edge_labels[i] for i in _iter_bits(mask))
-
-    def _norm_mask(self, edges):
-        if edges is None:
-            return self.full_mask
-        if isinstance(edges, int):
-            if edges < 0 or edges > self.full_mask:
-                raise RibbonError("edge mask %#x out of range" % edges)
-            return edges
-        return self.edge_mask(edges)
 
     def underlying_graph(self, edges=None):
         """The ordinary multigraph on the same vertices and the given edges."""
@@ -545,7 +530,7 @@ class RibbonGraph:
     def split_components(self):
         """The connected components, each as its own RibbonGraph, ordered
         by first vertex."""
-        comp = self.components(labels=True)
+        _, comp = self._flips(self.full_mask)
         n = max(comp, default=-1) + 1
         verts = [[] for _ in range(n)]
         eds = [[] for _ in range(n)]

@@ -256,6 +256,9 @@ def random_graph(v, e, twist_prob=0, seed=1):
     if e > 64:
         raise ValueError("at most 64 edges")
     p = Fraction(twist_prob)
+    # chance checks p at each edge; with no edge it would never run
+    if not 0 <= p <= 1:
+        raise ValueError("probability must lie in [0, 1]")
     rng = XorShift64Star(seed)
     ends = list(_prufer_tree(rng, v))
     for _ in range(e - len(ends)):

@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from qpoly import checks as checks_mod
-from qpoly.graphs import MultiGraph
 from qpoly.invariants import _submasks
 from qpoly.ribbon import EmbeddedGraph, RibbonGraph
 from qpoly.textio import XorShift64Star, random_graph
@@ -281,23 +280,23 @@ def test_a_lost_split_in_the_subset_sweep_fails_the_battery(monkeypatch):
 
 
 def test_partial_duality_connectivity_labels_once_per_a(monkeypatch):
-    # one component labelling of A in G per A, not two union-finds per
-    # pair (A, B): at most 2 * 2^8 calls where the pairs number 3^8
+    # one component labelling of A in G per A, not one per pair (A, B):
+    # at most 2^8 labellings of G where the pairs number 3^8.  The
+    # partial duals' is_orientable calls _flips on G^A, never on G
     calls = []
-    components = MultiGraph.components
+    flips = RibbonGraph._flips
 
-    def counted(self, mask=None, labels=False):
+    def counted(self, mask):
         calls.append(self)
-        return components(self, mask, labels)
+        return flips(self, mask)
 
-    # RibbonGraph shares the function, under its own class attribute
-    monkeypatch.setattr(MultiGraph, "components", counted)
-    monkeypatch.setattr(RibbonGraph, "components", counted)
+    monkeypatch.setattr(RibbonGraph, "_flips", counted)
     emb = EmbeddedGraph(random_graph(3, 8, Fraction(3, 10), seed=7))
     status, _ = checks_mod._check_partial_duality_connectivity(
         emb, emb.cellulation.edge_labels)
     assert status == "PASS"
-    assert 0 < len(calls) <= 2 * 2 ** 8, len(calls)
+    labellings = sum(graph is emb.cellulation for graph in calls)
+    assert 0 < labellings <= 2 ** 8, labellings
 
 
 def test_partial_duals_are_built_once_per_battery(monkeypatch):

@@ -1,9 +1,11 @@
+import contextlib
 import io
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpoly import checks as checks_mod
 from qpoly import quasitrees as quasitrees_mod
@@ -560,6 +562,11 @@ def test_random_infeasible(capsys):
 def test_random_bad_probability(capsys):
     code, _, err = run_cli(capsys, "random", "-v", "2", "-e", "2", "-t", "huh")
     assert code == 2 and err != ""
+    for v, e in (("1", "0"), ("2", "1")):
+        for t in ("2", "-1"):
+            code, out, err = run_cli(capsys, "random", "-v", v, "-e", e, "-t", t)
+            assert (code, out, err) == \
+                (2, "", "qp: probability must lie in [0, 1]\n"), (v, e, t)
 
 
 def test_random_zero_denominator(capsys):
@@ -602,3 +609,77 @@ def test_console_script_installed(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "A^(1/2) + B^(1/2)\n"
+
+
+# ----------------------------------------------------------------------
+# fuzzed documents
+
+
+@st.composite
+def ribbon_documents(draw):
+    """A document of at most 6 edges: one or two random ribbon graphs side
+    by side, an optional marked subset and order line, and then maybe a
+    few edits (a line dropped, repeated or cut short, a token swapped for
+    another) that usually leave it malformed."""
+    vertices, edges = [], []
+    for prefix in ("", "x")[:draw(st.integers(1, 2))]:
+        room = 6 - len(edges)
+        v = draw(st.integers(1, min(4, room + 1)))
+        e = draw(st.integers(v - 1, room))
+        twist = draw(st.sampled_from([0, Fraction(3, 10), 1]))
+        part = random_graph(v, e, twist, seed=draw(st.integers(1, 10 ** 6)))
+        vertices += [(prefix + name, tuple(prefix + h for h in rot))
+                     for name, rot in part.vertices]
+        edges += [(prefix + label, (prefix + h1, prefix + h2), sign)
+                  for label, (h1, h2), sign in part.edges]
+    g = RibbonGraph(vertices, edges)
+    labels = list(g.edge_labels)
+    marked = None
+    if labels:
+        marked = draw(st.none() | st.lists(st.sampled_from(labels), unique=True))
+    order = draw(st.permutations(labels))
+    lines = serialize(EmbeddedGraph(g, marked), order).splitlines()
+    tokens = ["v1", "h1", "e1", "+", "-", ":", "#", "vertex", "edge",
+              "marked:", "order:", "", "e9", "h2 h2"]
+    for _ in range(draw(st.integers(0, 2))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "cut", "swap"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "cut":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        else:
+            words = lines[i].split(" ")
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(tokens))
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n", labels
+
+
+@given(ribbon_documents(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_documents_exit_cleanly(document, data):
+    """Valid or not, a document gives a documented exit code and at most
+    one qp: line on stderr, never a traceback."""
+    text, labels = document
+    argv = [data.draw(st.sampled_from(["compute", "check", "quasitrees", "dual"]))]
+    if argv[0] == "compute":
+        argv += ["-p", data.draw(st.sampled_from(["krushkal", "tutte", "br", "lv"])),
+                 "-m", data.draw(st.sampled_from(["brute", "quasitree"]))]
+    elif argv[0] == "dual":
+        h = data.draw(st.lists(st.sampled_from(labels + ["e9"]), max_size=3))
+        argv += ["-H", ",".join(h)] if h else []
+    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["-i", "-"])
+    finally:
+        sys.stdin = stdin
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (code, argv, text)
+    assert "Traceback" not in err, (argv, text)
+    assert sum(line.startswith("qp:") for line in err.splitlines()) <= 1, err

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from qpoly.laurent import (
     VARIABLES,
-    HalfExp,
     LaurentPoly,
     SubstitutionError,
     parse_poly,
@@ -22,6 +21,9 @@ X = LaurentPoly.variable("X")
 
 def test_half_times_half_is_whole():
     assert A_half * A_half == LaurentPoly.variable("A")
+    assert LaurentPoly.term(A=Fraction(4, 2)) == A_half ** 4
+    with pytest.raises(ValueError):
+        LaurentPoly.term(A=Fraction(1, 4))
 
 
 def test_add_zero_is_identity():
@@ -113,26 +115,6 @@ def test_substitute_variable_swap():
 def test_substitute_zero_binding():
     p = X ** 2 + X + 1
     assert p.substitute({"X": LaurentPoly.zero()}) == 1
-
-
-def test_halfexp_basics():
-    h = HalfExp(3)
-    assert h.value == Fraction(3, 2)
-    assert not h.is_integer
-    assert str(h) == "3/2"
-    assert HalfExp(4).value == 2
-    assert HalfExp(4) == 2
-    assert HalfExp.of(Fraction(1, 2)) == HalfExp(1)
-    with pytest.raises(ValueError):
-        HalfExp.of(Fraction(1, 4))
-
-
-def test_terms_iteration_is_canonical():
-    p = 2 * X + LaurentPoly.term(5, A=Fraction(1, 2))
-    pairs = list(p.terms())
-    assert [c for _, c in pairs] == [2, 5]
-    exps0 = pairs[0][0]
-    assert exps0[VARIABLES.index("X")] == 1
 
 
 def test_pow_and_neg():

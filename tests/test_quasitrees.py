@@ -26,7 +26,6 @@ from qpoly.quasitrees import (
     expansion_lv,
     one_vertex_word,
     quasi_tree_masks,
-    quasi_tree_partition,
     resolution_tree,
 )
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
@@ -232,18 +231,6 @@ def test_resolution_tree_structure():
 # the partition of spanning subgraphs
 
 
-def test_partition_is_exact():
-    for name, make in CONNECTED.items():
-        g = make()
-        for order in itertools.permutations(g.edge_labels):
-            table = quasi_tree_partition(g, order)
-            assert len(table) == 1 << g.n_edges, (name, order)
-            for fmask, (qmask, smask) in table.items():
-                ap = activities(g, order, qmask)
-                assert fmask == g.edge_mask(ap.vi) | smask
-                assert smask & ~g.edge_mask(ap.i_o | ap.e_o) == 0
-
-
 def test_partition_counts():
     for name, make in CONNECTED.items():
         g = make()
@@ -252,17 +239,6 @@ def test_partition_counts():
             ap = activities(g, None, qmask)
             total += 1 << (len(ap.i_o) + len(ap.e_o))
         assert total == 1 << g.n_edges, name
-
-
-def test_subgraph_to_quasitree_examples():
-    g = t1()
-    table = quasi_tree_partition(g, ["ea", "eb"])
-    q, s = table[g.edge_mask(["ea"])]
-    assert q == 0 and set(g.mask_labels(s)) == {"ea"}
-    q, s = table[g.edge_mask(["eb"])]
-    assert q == g.full_mask and set(g.mask_labels(s)) == set()
-    q, s = quasi_tree_partition(m1(), None)[m1().edge_mask(["e1"])]
-    assert q == 1 and set(m1().mask_labels(s)) == set()
 
 
 def test_lemma_conn_and_bc():
@@ -355,9 +331,9 @@ def test_expansion_labels_no_classes_once_the_descent_runs(monkeypatch):
             started[0] = True
             yield node
 
-    def counted_components(self, mask=None, labels=False):
+    def counted_components(self, mask=None):
         labelled.append((started[0], self))
-        return components(self, mask, labels)
+        return components(self, mask)
 
     def counted_classes(*args):
         classified.append(started[0])

@@ -517,8 +517,6 @@ def test_component_counts_agree_on_random_masks():
         for mask in masks:
             labels = component_labels_by_search(g, mask)
             c = count_by_search(g, mask)
-            assert g.components(mask, labels=True) == labels, (g, mask)
-            assert mg.components(mask, labels=True) == labels, (g, mask)
             assert g._flips(mask)[1] == labels, (g, mask)
             assert g.components(mask) == c
             assert mg.components(mask) == c
@@ -700,3 +698,18 @@ def test_multigraph_validation():
         MultiGraph(["v"], [("e", "v", "nope")])
     with pytest.raises(ValueError):
         MultiGraph(["v"], [("e", "v", "v"), ("e", "v", "v")])
+
+
+def test_shared_mask_helpers_raise_each_class_error():
+    # RibbonGraph borrows MultiGraph's mask helpers but keeps its own
+    # exception; RibbonError is no ValueError, so the types are exact
+    g = th()
+    for graph, error in ((g, RibbonError), (g.underlying_graph(), ValueError)):
+        with pytest.raises(error, match="^unknown edge 'zz'$") as err:
+            graph.edge_mask(["e1", "zz"])
+        assert type(err.value) is error
+        for mask in (-1, 8):
+            with pytest.raises(error, match="^edge mask .* out of range$") as err:
+                graph.components(mask)
+            assert type(err.value) is error
+        assert graph.nullity(["e1", "e2"]) == 1

@@ -219,6 +219,13 @@ def test_random_graph_infeasible():
         random_graph(0, 0, 0, seed=1)
     with pytest.raises(ValueError):
         random_graph(2, 65, 0, seed=1)
+    # the twist probability is checked before the first draw, so also
+    # when there is no edge to twist
+    for v, e in ((1, 0), (2, 1)):
+        for p in (2, -1, Fraction(3, 2)):
+            with pytest.raises(ValueError) as err:
+                random_graph(v, e, p, seed=1)
+            assert str(err.value) == "probability must lie in [0, 1]"
 
 
 def test_random_graph_round_trip():
