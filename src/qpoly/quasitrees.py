@@ -18,11 +18,14 @@ word (A[e][f] = 1 when e and f link, A[e][e] = 1 when e's loop is
 twisted) is kept as int bitset rows, and the quasi-trees are Q xor X for
 the sets X with A_Q[X] nonsingular over GF(2) (Bouchet's delta-matroid of
 the map).  The expansions and the resolution tree come from one descent
-of that tree: it starts at a spanning tree, reads its rows off the corner
-walk once, and reaches each other quasi-tree by a principal pivot
-transform of the rows on one or two edges, so it costs about the number
-of quasi-trees and never scans the 2^e subsets.  Liveness is one AND of a
-row with the mask of the lower edges, orientability the diagonal bit.
+of that tree, a recursive fold shaped like ribbon._sweep: it starts at a
+spanning tree, reads its rows off the corner walk once, and reaches each
+other quasi-tree by a principal pivot transform of the rows on one or
+two edges, once per branching node, so it costs about the number of
+quasi-trees and never scans the 2^e subsets.  A callback takes each
+leaf, and resolution_tree folds the branching nodes too.  Liveness is
+one AND of a row with the mask of the lower edges, orientability the
+diagonal bit.
 quasi_tree_masks, the subsets with bc = 1 read off the 2^e subset sweep
 of the brute-force sums, stays the independent oracle of the descent.
 ActivityPartition is the label view of the class masks, and VertexWord
@@ -31,14 +34,14 @@ ActivityPartition is the label view of the class masks, and VertexWord
 expansion_krushkal sums one closed-form term per quasi-tree, read off the
 leaves of the descent alone.  At a leaf the resolved-to-1 edges are VI(Q)
 = DI u I_n, the resolved-to-0 edges VE(Q) = DE u E_n, and the unresolved
-ones I_o u E_o, split by Q.  The descent carries rollback union-finds of
-the 1-edges in G and of the 0-edges in the dual, one union per child, so
-a leaf also knows c(F_VI) and c(R_VE), and each minor is keyed by the
-end pairs of its I_o (or E_o) edges on those classes.  The Tutte
-polynomial of a minor is the product over its blocks: 1 + Y per loop
-and 1 + X per bridge in closed form, and the subset sweep of
-invariants.tutte only on the blocks with two or more edges, once per
-distinct block.  Minor polynomials stay {(i, j): coefficient} dicts;
+ones I_o u E_o, split by Q.  The descent carries union-finds of the
+1-edges in G and of the 0-edges in the dual, one union per child that
+the call undoes on return, so the leaf callback also knows c(F_VI) and
+c(R_VE), and keys each minor by the end pairs of its I_o (or E_o) edges
+on those live classes.  The Tutte polynomial of a minor is the product
+over its blocks: 1 + Y per loop and 1 + X per bridge in closed form, and
+the subset sweep of invariants.tutte only on the blocks with two or more
+edges, once per distinct block.  Minor polynomials stay {(i, j): coefficient} dicts;
 the terms sharing an outer minor and a B shift are summed before one
 multiplication by the outer polynomial.
 The Bollobas-Riordan and Las Vergnas expansions are its images under the
@@ -281,79 +284,74 @@ def _pivot(rows, e, free):
     return x, rows
 
 
-def _descent(g, lower, d=None):
-    """The resolution tree of g under the order given by lower, in pre-order
-    with the 0-child first: (edge index, ones, zeros, Q, rows, c_g, c_d,
-    g_parent, d_parent) at a node branching on that edge, the same with
-    None for the edge at a leaf.  Q is a quasi-tree completing the node's
+def _descent(g, lower, leaf, branch=None, d=None):
+    """Fold the resolution tree of g under the order given by lower, depth
+    first with the 0-child first, and return the root's value.  A leaf's
+    value is leaf(ones, zeros, Q, rows, c_g, c_d, g_parent, d_parent); a
+    node branching on edge index ei has the value branch(zero, one, ei,
+    ones, zeros, Q, rows, c_g, c_d) of its children's values zero and
+    one, or None without branch.  Q is a quasi-tree completing the node's
     resolution (the one, at a leaf) and rows the interlace rows of Q's
-    vertex word.
+    vertex word.  The leaves are reached in pre-order.
 
     The quasi-trees completing a node are Q xor X for the sets X of edges
     not yet examined with A_Q[X] nonsingular over GF(2) (Bouchet), so the
     next edge e branches exactly when its row meets those edges; otherwise
-    it is nugatory.  The child agreeing with Q on e keeps (Q, rows), the
-    other one pivots.
+    it is nugatory and skipped.  The child agreeing with Q on e keeps (Q,
+    rows), the other one pivots.
 
     Two rollback union-finds ride along: g_parent holds the edges of ones
     in g, and d_parent those of zeros in d, a graph on the same edges (the
     dual cellulation, for the expansion; without d, d_parent is None and
-    c_d 0).  c_g and c_d count their classes.  A child joins the ends of
-    its edge in one of them and the union is undone by resetting the moved
-    root before the next sibling, as in ribbon._sweep, so the lists are
-    only valid at the node just yielded.  At a leaf, ones is VI(Q) = DI u
+    c_d 0).  c_g and c_d count their classes.  The 0-child joins its
+    edge's ends in d, the 1-child in g, and the union is undone by
+    resetting the moved root on return, as in ribbon._sweep, so the lists
+    are only valid inside the leaf call.  At a leaf, ones is VI(Q) = DI u
     I_n, zeros is VE(Q) = DE u E_n and the unresolved edges are I_o u E_o.
+    The recursion is one level per branching edge, at most 64 deep.
     """
     if g.components() != 1:
         raise RibbonError("quasi-trees are defined for connected graphs")
     desc = sorted(range(len(lower)), key=lower.__getitem__, reverse=True)
+    n = len(desc)
     g_parent, g_ends = list(range(g.n_vertices)), g._ends
     d_parent, d_ends = ((None, None) if d is None
                         else (list(range(d.n_vertices)), d._ends))
-    # (union-find, moved root) of every union in force
-    trail = []
-    # a spanning tree's ribbon neighbourhood is a disc, so it is a quasi-tree
-    q = _forest(g, range(len(g.edges)))
-    stack = [(0, 0, 0, q, _walk_rows(g, q), g.n_vertices,
-              0 if d is None else d.n_vertices, 0)]
-    while stack:
-        j, ones, zeros, q, rows, c_g, c_d, depth = stack.pop()
-        while len(trail) > depth:
-            parent, r = trail.pop()
-            parent[r] = r
-        if j:
-            # the edge this child decided: into ones joins it in g, into
-            # zeros in d
-            ei = desc[j - 1]
-            if ones >> ei & 1:
-                r = _join(g_parent, g_ends[ei])
-                if r >= 0:
-                    trail.append((g_parent, r))
-                    c_g -= 1
-            elif d_parent is not None:
-                r = _join(d_parent, d_ends[ei])
-                if r >= 0:
-                    trail.append((d_parent, r))
-                    c_d -= 1
-        for j in range(j, len(desc)):
+    # frees[j]: the edges not yet examined when desc[j] is reached
+    frees = [lower[ei] | 1 << ei for ei in desc]
+
+    def visit(j, ones, zeros, q, rows, c_g, c_d):
+        while j < n:
             ei = desc[j]
-            free = lower[ei] | 1 << ei
+            free = frees[j]
             if rows[ei] & free:
                 break
+            j += 1
         else:
-            yield None, ones, zeros, q, rows, c_g, c_d, g_parent, d_parent
-            continue
-        yield ei, ones, zeros, q, rows, c_g, c_d, g_parent, d_parent
+            return leaf(ones, zeros, q, rows, c_g, c_d, g_parent, d_parent)
         bit = 1 << ei
         x, flipped = _pivot(rows, ei, free)
-        one = zero = (q, rows)
         if q & bit:
-            zero = (q ^ x, flipped)
+            zero_q, zero_rows, one_q, one_rows = q ^ x, flipped, q, rows
         else:
-            one = (q ^ x, flipped)
-        depth = len(trail)
-        stack.append((j + 1, ones | bit, zeros, *one, c_g, c_d, depth))
-        stack.append((j + 1, ones, zeros | bit, *zero, c_g, c_d, depth))
+            zero_q, zero_rows, one_q, one_rows = q, rows, q ^ x, flipped
+        r = -1 if d_parent is None else _join(d_parent, d_ends[ei])
+        zero = visit(j + 1, ones, zeros | bit, zero_q, zero_rows,
+                     c_g, c_d - (r >= 0))
+        if r >= 0:
+            d_parent[r] = r
+        r = _join(g_parent, g_ends[ei])
+        one = visit(j + 1, ones | bit, zeros, one_q, one_rows,
+                    c_g - (r >= 0), c_d)
+        if r >= 0:
+            g_parent[r] = r
+        if branch is not None:
+            return branch(zero, one, ei, ones, zeros, q, rows, c_g, c_d)
+
+    # a spanning tree's ribbon neighbourhood is a disc, so it is a quasi-tree
+    q = _forest(g, range(len(g.edges)))
+    return visit(0, 0, 0, q, _walk_rows(g, q), g.n_vertices,
+                 0 if d is None else d.n_vertices)
 
 
 # ----------------------------------------------------------------------
@@ -412,27 +410,26 @@ def resolution_tree(g, order=None):
     of deciding the next edge still admit a quasi-tree completion the
     node branches (0-child first); otherwise the edge is nugatory and is
     skipped for good, staying unresolved in every leaf below.  Each leaf
-    admits exactly one quasi-tree completion.
+    admits exactly one quasi-tree completion.  The nodes are the values
+    of the descent's fold, so the leaves come in pre-order.
     """
     lower = _lower_masks(g, order)
-    steps = _descent(g, lower)
     leaves = []
 
-    def build():
-        ei, ones, zeros, q, *_ = next(steps)
+    def leaf(ones, zeros, q, *_):
         node = ResolutionNode(ones, zeros)
-        if ei is None:
-            node.quasi_tree = q
-            node.unresolved = frozenset(
-                g.mask_labels(g.full_mask ^ ones ^ zeros))
-            leaves.append(node)
-        else:
-            node.edge = g.edge_labels[ei]
-            node.zero = build()
-            node.one = build()
+        node.quasi_tree = q
+        node.unresolved = frozenset(g.mask_labels(g.full_mask ^ ones ^ zeros))
+        leaves.append(node)
         return node
 
-    root = build()
+    def branch(zero, one, ei, ones, zeros, *_):
+        node = ResolutionNode(ones, zeros)
+        node.edge = g.edge_labels[ei]
+        node.zero, node.one = zero, one
+        return node
+
+    root = _descent(g, lower, leaf, branch)
     # lower grows along the order
     order = sorted(g.edge_labels, key=lambda lbl: lower[g._edge_index[lbl]])
     return ResolutionTree(g, order, root, leaves)
@@ -457,8 +454,13 @@ def _end_pairs(parent, ends, edges):
             a = parent[a]
         while parent[b] != b:
             b = parent[b]
-        pairs.append((label.setdefault(a, len(label)),
-                      label.setdefault(b, len(label))))
+        la = label.get(a)
+        if la is None:
+            la = label[a] = len(label)
+        lb = label.get(b)
+        if lb is None:
+            lb = label[b] = len(label)
+        pairs.append((la, lb))
         edges ^= low
     return tuple(pairs)
 
@@ -579,10 +581,8 @@ def expansion_krushkal(emb, order=None):
     # a term depends only on the two minors and the two shifts, so count
     # the quasi-trees per distinct term
     tally = {}
-    for ei, vi, ve, q, _, c_vi, c_ve, g_parent, d_parent in _descent(
-            g, _lower_masks(g, order), d):
-        if ei is not None:
-            continue
+
+    def leaf(vi, ve, q, _, c_vi, c_ve, g_parent, d_parent):
         # at a leaf VI = ones, VE = zeros and I_o u E_o is unresolved
         unresolved = full ^ vi ^ ve
         i_o, e_o = unresolved & q, unresolved & ~q
@@ -595,6 +595,8 @@ def expansion_krushkal(emb, order=None):
                 2 * c_vi - n_g + vi.bit_count() - i_o.bit_count() - 1,
                 2 * c_ve - n_d + ve.bit_count() - e_o.bit_count() - 1)
         tally[term] = tally.get(term, 0) + 1
+
+    _descent(g, _lower_masks(g, order), leaf, d=d)
     # T(X, Y) of every distinct minor, both sides sharing one block memo
     blocks = {}
     minors = {key: _minor_tutte(key, blocks)

@@ -157,11 +157,11 @@ class RibbonGraph:
         for name, _ in self.vertices:
             if not isinstance(name, str):
                 raise RibbonError("vertex names must be strings, got %r" % (name,))
-        self._vname_index = {}
-        for i, (name, _) in enumerate(self.vertices):
-            if name in self._vname_index:
+        names = set()
+        for name, _ in self.vertices:
+            if name in names:
                 raise RibbonError("duplicate vertex %r" % name)
-            self._vname_index[name] = i
+            names.add(name)
 
         # half-edges are indexed in edge-declaration order: edge i owns
         # half indexes 2i and 2i + 1
@@ -183,30 +183,35 @@ class RibbonGraph:
                 half_labels.append(h)
         self.half_labels = tuple(half_labels)
         self.edge_labels = tuple(e[0] for e in self.edges)
-        self._sign = tuple(e[2] for e in self.edges)
 
-        nh = len(half_labels)
-        self._vertex_of = [-1] * nh
         rot_idx = []
         seen = set()
-        for vi, (name, rot) in enumerate(self.vertices):
-            idxs = []
+        for name, rot in self.vertices:
             for h in rot:
                 if h not in self._half_index:
                     raise RibbonError("half-edge %r is not on any edge" % h)
                 if h in seen:
                     raise RibbonError("half-edge %r appears twice in the rotations" % h)
                 seen.add(h)
-                k = self._half_index[h]
-                idxs.append(k)
-                self._vertex_of[k] = vi
-            rot_idx.append(tuple(idxs))
-        if len(seen) != nh:
+            rot_idx.append(tuple(map(self._half_index.__getitem__, rot)))
+        if len(seen) != len(half_labels):
             missing = next(h for h in half_labels if h not in seen)
             raise RibbonError("half-edge %r is missing from the vertex rotations" % missing)
-        self._rot_idx = tuple(rot_idx)
-        self._vertex_of = tuple(self._vertex_of)
-        self._ends = tuple(zip(self._vertex_of[0::2], self._vertex_of[1::2]))
+        self._index(rot_idx)
+
+    def _index(self, rot_idx):
+        """Build the index tables from the rotations as tuples of half-edge
+        indexes, which hold every half-edge index exactly once; vertices,
+        edges and the label indexes are set already."""
+        nh = 2 * len(self.edges)
+        self._sign = tuple(e[2] for e in self.edges)
+        self._rot_idx = rot_idx = tuple(rot_idx)
+        vertex_of = [-1] * nh
+        for vi, rot in enumerate(rot_idx):
+            for k in rot:
+                vertex_of[k] = vi
+        self._vertex_of = tuple(vertex_of)
+        self._ends = tuple(zip(vertex_of[0::2], vertex_of[1::2]))
         self._bare = rot_idx.count(())
 
         # the mask-independent corner tables of the walk: half-edge h owns
@@ -456,20 +461,32 @@ class RibbonGraph:
         their ribbon sides to the walk, edges outside H their attachment
         intervals, and the two walk directions of each crossed interval
         become the corners of the re-attached half-edge, which determines
-        the new twists.
+        the new twists.  The labels are this graph's, so only the index
+        tables are built anew, after a check that the walks hold every
+        half-edge exactly once.
         """
         mask = self._norm_mask(edges)
         if not self.edges:
             return RibbonGraph(self.vertices, ())
         walks, signs = self._dual_walks(mask)
+        halves = [h for walk in walks for h in walk]
+        if len(halves) != len(self.half_labels) or \
+                len(set(halves)) != len(halves):
+            raise RibbonError("the walks of the partial dual do not hold "
+                              "every half-edge once")
+        rot_idx = [tuple(walk) for walk in walks] + [()] * self._bare
         labels = self.half_labels
-        new_vertices = [("v%d" % (i + 1), tuple(labels[h] for h in walk))
-                        for i, walk in enumerate(walks)]
-        for _ in range(self._bare):
-            new_vertices.append(("v%d" % (len(new_vertices) + 1), ()))
-        new_edges = [(label, pair, sign)
-                     for (label, pair, _), sign in zip(self.edges, signs)]
-        return RibbonGraph(new_vertices, new_edges)
+        dual = RibbonGraph.__new__(RibbonGraph)
+        dual.vertices = tuple(("v%d" % (i + 1), tuple(labels[h] for h in rot))
+                              for i, rot in enumerate(rot_idx))
+        dual.edges = tuple((label, pair, sign)
+                           for (label, pair, _), sign in zip(self.edges, signs))
+        dual._edge_index = self._edge_index
+        dual._half_index = self._half_index
+        dual.half_labels = labels
+        dual.edge_labels = self.edge_labels
+        dual._index(rot_idx)
+        return dual
 
     def _dual_walks(self, mask):
         """The rotations of the walk vertices of the partial dual on mask,

@@ -299,13 +299,19 @@ def minor_counts(g, order, q):
     descent carries to Q's leaf, and the end pairs of the key under which
     expansion_krushkal tallies each minor."""
     d = g.dual()
-    for ei, ones, zeros, leaf_q, _, c_g, c_d, g_parent, d_parent in _descent(
-            g, _lower_masks(g, order), d):
-        if ei is None and leaf_q == q:
+    found = []
+
+    def leaf(ones, zeros, leaf_q, _, c_g, c_d, g_parent, d_parent):
+        if leaf_q == q:
             unresolved = g.full_mask ^ ones ^ zeros
-            return [(c_g, len(_end_pairs(g_parent, g._ends, unresolved & q))),
-                    (c_d, len(_end_pairs(d_parent, d._ends, unresolved & ~q)))]
-    raise AssertionError("%#x is no leaf of the descent" % q)
+            found.append([
+                (c_g, len(_end_pairs(g_parent, g._ends, unresolved & q))),
+                (c_d, len(_end_pairs(d_parent, d._ends, unresolved & ~q)))])
+
+    _descent(g, _lower_masks(g, order), leaf, d=d)
+    if len(found) != 1:
+        raise AssertionError("%#x is no leaf of the descent" % q)
+    return found[0]
 
 
 def test_minor_graphs_t1():
@@ -320,16 +326,25 @@ def test_minor_graphs_m1():
 
 def test_expansion_labels_no_classes_once_the_descent_runs(monkeypatch):
     """The union-finds that the descent carries replace every per-quasi-tree
-    labelling: once the descent has yielded its first node, the expansion
-    makes no components call on G or G* and no _classes call."""
-    descent, classes = qpoly.quasitrees._descent, qpoly.quasitrees._classes
+    labelling: once the descent has read the rows of its root, and so at
+    every leaf, the expansion makes no components call on G or G* and no
+    _classes call."""
+    walk_rows, classes = qpoly.quasitrees._walk_rows, qpoly.quasitrees._classes
     components = RibbonGraph.components
-    started, labelled, classified = [False], [], []
+    started, labelled, classified, leaves = [False], [], [], []
 
-    def watched_descent(*args):
-        for node in descent(*args):
-            started[0] = True
-            yield node
+    def watched_walk_rows(*args):
+        rows = walk_rows(*args)
+        started[0] = True
+        return rows
+
+    descent = qpoly.quasitrees._descent
+
+    def watched_descent(g, lower, leaf, branch=None, d=None):
+        def watched_leaf(*args):
+            leaves.append(started[0])
+            return leaf(*args)
+        return descent(g, lower, watched_leaf, branch, d)
 
     def counted_components(self, mask=None):
         labelled.append((started[0], self))
@@ -339,6 +354,7 @@ def test_expansion_labels_no_classes_once_the_descent_runs(monkeypatch):
         classified.append(started[0])
         return classes(*args)
 
+    monkeypatch.setattr(qpoly.quasitrees, "_walk_rows", watched_walk_rows)
     monkeypatch.setattr(qpoly.quasitrees, "_descent", watched_descent)
     monkeypatch.setattr(qpoly.quasitrees, "_classes", counted_classes)
     monkeypatch.setattr(RibbonGraph, "components", counted_components)
@@ -350,13 +366,16 @@ def test_expansion_labels_no_classes_once_the_descent_runs(monkeypatch):
         started[0] = False
         labelled.clear()
         classified.clear()
+        leaves.clear()
         expansion_krushkal(emb)
         assert started[0], g
+        # every leaf comes after the start of the watch
+        assert leaves and all(leaves), g
         assert not [graph for late, graph in labelled
                     if late and (graph is g or graph is d)], g
         assert not any(classified), g
         # the spies are live: the descent checks that G is connected before
-        # it yields, and activities classifies the rows
+        # it reads the root's rows, and activities classifies the rows
         assert any(not late and graph is g for late, graph in labelled)
         activities(g, None, quasi_tree_masks(g)[0])
         assert classified
@@ -440,12 +459,13 @@ def test_block_product_is_tutte_on_every_minor_key():
     memo, seen = {}, set()
     for g in [make() for make in CONNECTED.values()] + random_twisted_graphs():
         d = EmbeddedGraph(g).dual_cellulation
-        for ei, ones, zeros, q, _, _, _, g_parent, d_parent in _descent(
-                g, _lower_masks(g, None), d):
-            if ei is None:
-                unresolved = g.full_mask ^ ones ^ zeros
-                seen.add(_end_pairs(g_parent, g._ends, unresolved & q))
-                seen.add(_end_pairs(d_parent, d._ends, unresolved & ~q))
+
+        def leaf(ones, zeros, q, _, c_g, c_d, g_parent, d_parent):
+            unresolved = g.full_mask ^ ones ^ zeros
+            seen.add(_end_pairs(g_parent, g._ends, unresolved & q))
+            seen.add(_end_pairs(d_parent, d._ends, unresolved & ~q))
+
+        _descent(g, _lower_masks(g, None), leaf, d=d)
     assert any(_blocks(key)[2] for key in seen)
     for key in seen:
         assert as_poly(_minor_tutte(key, memo)) == tutte_of_pairs(key), key

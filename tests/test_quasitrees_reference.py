@@ -1,22 +1,25 @@
 """The bitset activities, the interlace descent and the resolution tree
 against reference constructions: pairwise VertexWord.links for liveness,
 the 2^e boundary-walk scan for the quasi-trees, the corner walk of each
-quasi-tree for its interlace rows, and a resolution tree that re-scans the
-whole quasi-tree list at every node, and a breadth-first search for the
+quasi-tree for its interlace rows, a resolution tree that re-scans the
+whole quasi-tree list at every node, a breadth-first search for the
 classes that the descent carries to each leaf and for the components
-behind each minor key."""
+behind each minor key, and an explicit-stack descent with a rollback
+trail for the recursive fold."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from qpoly.graphs import _forest, _join
 from qpoly.quasitrees import (
     ActivityPartition,
     _classes,
     _descent,
     _end_pairs,
     _lower_masks,
+    _pivot,
     _walk_rows,
     activities,
     expansion_krushkal,
@@ -138,8 +141,9 @@ def test_activities_reject_non_quasi_trees_like_the_word(name, g):
 @pytest.mark.parametrize("name,g,order", CASES, ids=[c[0] for c in CASES])
 def test_descent_leaves_match_the_scan_and_the_walk(name, g, order):
     lower = _lower_masks(g, order)
-    leaves = [(q, rows) for ei, _, _, q, rows, *_ in _descent(g, lower)
-              if ei is None]
+    leaves = []
+    _descent(g, lower, lambda ones, zeros, q, rows, *_:
+             leaves.append((q, rows)))
     assert sorted(q for q, _ in leaves) == quasi_tree_masks(g), name
     for q, rows in leaves:
         assert rows == _walk_rows(g, q), (name, q)
@@ -216,12 +220,10 @@ def test_descent_leaves_carry_vi_ve_and_their_classes(name, g, order):
     the unresolved ones I_o u E_o, and the carried class counts are those
     of VI in G and of VE in G*."""
     d = g.dual()
-    leaves = 0
-    for ei, ones, zeros, q, _, c_g, c_d, _, _ in _descent(
-            g, _lower_masks(g, order), d):
-        if ei is not None:
-            continue
-        leaves += 1
+    leaves = []
+
+    def leaf(ones, zeros, q, rows, c_g, c_d, *_):
+        leaves.append(q)
         ref = reference_activities(g, order, q)
         assert set(g.mask_labels(ones)) == ref.vi, (name, q)
         assert set(g.mask_labels(zeros)) == ref.ve, (name, q)
@@ -229,7 +231,9 @@ def test_descent_leaves_carry_vi_ve_and_their_classes(name, g, order):
             ref.i_o | ref.e_o, (name, q)
         assert c_g == count_by_search(g, ones), (name, q)
         assert c_d == count_by_search(d, zeros), (name, q)
-    assert leaves == len(quasi_tree_masks(g)), name
+
+    _descent(g, _lower_masks(g, order), leaf, d=d)
+    assert sorted(leaves) == quasi_tree_masks(g), name
 
 
 @pytest.mark.parametrize("name,g", GRAPHS + FEW_VERTICES,
@@ -239,11 +243,139 @@ def test_minor_keys_match_search(name, g):
     the classes taken from the interlace rows rather than the leaf."""
     d = g.dual()
     lower = _lower_masks(g, None)
-    for ei, _, _, q, rows, _, _, g_parent, d_parent in _descent(g, lower, d):
-        if ei is not None:
-            continue
+    leaves = []
+
+    def leaf(ones, zeros, q, rows, c_g, c_d, g_parent, d_parent):
+        # the union-finds are only valid inside this call
+        leaves.append(q)
         di, i_o, i_n, de, e_o, e_n = _classes(rows, lower, q)
         assert _end_pairs(g_parent, g._ends, i_o) == \
             reference_minor_key(g, di | i_n, i_o), (name, q)
         assert _end_pairs(d_parent, d._ends, e_o) == \
             reference_minor_key(d, de | e_n, e_o), (name, q)
+
+    _descent(g, lower, leaf, d=d)
+    assert sorted(leaves) == quasi_tree_masks(g), name
+
+
+def reference_descent(g, lower, d=None):
+    """The resolution tree of g under lower, in pre-order with the 0-child
+    first, by an explicit stack and a rollback trail: (edge index, ones,
+    zeros, Q, rows, c_g, c_d, g_parent, d_parent) at a node branching on
+    that edge, the same with None for the edge at a leaf.  The unions in
+    force are undone from the trail when the stack pops a node of a lower
+    depth, so the union-finds are valid only at the node just yielded."""
+    if g.components() != 1:
+        raise RibbonError("quasi-trees are defined for connected graphs")
+    desc = sorted(range(len(lower)), key=lower.__getitem__, reverse=True)
+    g_parent, g_ends = list(range(g.n_vertices)), g._ends
+    d_parent, d_ends = ((None, None) if d is None
+                        else (list(range(d.n_vertices)), d._ends))
+    # (union-find, moved root) of every union in force
+    trail = []
+    q = _forest(g, range(len(g.edges)))
+    stack = [(0, 0, 0, q, _walk_rows(g, q), g.n_vertices,
+              0 if d is None else d.n_vertices, 0)]
+    while stack:
+        j, ones, zeros, q, rows, c_g, c_d, depth = stack.pop()
+        while len(trail) > depth:
+            parent, r = trail.pop()
+            parent[r] = r
+        if j:
+            # the edge this child decided: into ones joins it in g, into
+            # zeros in d
+            ei = desc[j - 1]
+            if ones >> ei & 1:
+                r = _join(g_parent, g_ends[ei])
+                if r >= 0:
+                    trail.append((g_parent, r))
+                    c_g -= 1
+            elif d_parent is not None:
+                r = _join(d_parent, d_ends[ei])
+                if r >= 0:
+                    trail.append((d_parent, r))
+                    c_d -= 1
+        for j in range(j, len(desc)):
+            ei = desc[j]
+            free = lower[ei] | 1 << ei
+            if rows[ei] & free:
+                break
+        else:
+            yield None, ones, zeros, q, rows, c_g, c_d, g_parent, d_parent
+            continue
+        yield ei, ones, zeros, q, rows, c_g, c_d, g_parent, d_parent
+        bit = 1 << ei
+        x, flipped = _pivot(rows, ei, free)
+        one = zero = (q, rows)
+        if q & bit:
+            zero = (q ^ x, flipped)
+        else:
+            one = (q ^ x, flipped)
+        depth = len(trail)
+        stack.append((j + 1, ones | bit, zeros, *one, c_g, c_d, depth))
+        stack.append((j + 1, ones, zeros | bit, *zero, c_g, c_d, depth))
+
+
+def node_record(g, d, ei, ones, zeros, q, rows, c_g, c_d, g_parent, d_parent):
+    """What the fold and the reference must agree on at one node; at a
+    leaf also the end pairs of I_o in G and of E_o in d, read off the live
+    union-finds."""
+    record = (ei, ones, zeros, q, tuple(rows), c_g, c_d)
+    if ei is not None or d is None:
+        return record
+    unresolved = g.full_mask ^ ones ^ zeros
+    return record + (_end_pairs(g_parent, g._ends, unresolved & q),
+                     _end_pairs(d_parent, d._ends, unresolved & ~q))
+
+
+def fold_preorder(g, lower, d=None):
+    """The fold's nodes in pre-order, built from its values, and its
+    leaves in the order the leaf callback ran."""
+    called = []
+
+    def leaf(*args):
+        record = node_record(g, d, None, *args)
+        called.append(record)
+        return [record]
+
+    def branch(zero, one, ei, *args):
+        return [node_record(g, d, ei, *args, None, None)] + zero + one
+
+    return _descent(g, lower, leaf, branch, d), called
+
+
+# plane, 3/10 and half twisted draws with up to six vertices and eleven
+# edges; edgeless and one-vertex draws included
+FOLD_DRAWS = [("F%d/%d/%d/%s" % (v, e, s, twist),
+               random_graph(v, e, twist, seed=s))
+              for twist in (Fraction(0), Fraction(3, 10), Fraction(1, 2))
+              for s, (v, e) in enumerate([(1, 0), (1, 6), (2, 9), (3, 11),
+                                          (4, 8), (5, 10), (6, 11)], 1)]
+
+
+def fold_cases():
+    rng = random.Random(19)
+    yield from CASES
+    for name, g in FOLD_DRAWS:
+        for k in range(2):
+            order = list(g.edge_labels)
+            rng.shuffle(order)
+            yield "%s/%d" % (name, k), g, order
+
+
+FOLD_CASES = list(fold_cases())
+
+
+@pytest.mark.parametrize("name,g,order", FOLD_CASES,
+                         ids=[c[0] for c in FOLD_CASES])
+def test_fold_visits_the_reference_nodes_in_preorder(name, g, order):
+    """Edge, ones, zeros, Q, rows, c_g and c_d at every node, and the
+    minor end pairs at every leaf, with and without the dual."""
+    lower = _lower_masks(g, order)
+    for d in (None, g.dual()):
+        ref = [node_record(g, d, *node)
+               for node in reference_descent(g, lower, d)]
+        nodes, called = fold_preorder(g, lower, d)
+        assert nodes == ref, name
+        assert called == [node for node in ref if node[0] is None], name
+    assert sum(node[0] is None for node in ref) == len(quasi_tree_masks(g))

@@ -251,6 +251,49 @@ def test_equality_tables_are_built_on_first_comparison():
     assert h != g
 
 
+PARTIAL_DUAL_GRAPHS = (
+    [make() for make in FIXTURES.values()] + random_twisted_graphs()
+    + [disconnected_with_bare_vertex()]
+    + [random_graph(v, e, twist, seed=s)
+       for s, (v, e, twist) in enumerate([(1, 7, Fraction(3, 10)),
+                                          (2, 8, Fraction(0)),
+                                          (3, 8, Fraction(1, 2)),
+                                          (5, 8, Fraction(3, 10))], 1)])
+TABLES = ("vertices", "edges", "edge_labels", "half_labels", "_edge_index",
+          "_half_index", "_sign", "_rot_idx", "_vertex_of", "_ends", "_bare",
+          "_arc", "_intervals", "_sides")
+
+
+def test_partial_dual_tables_match_a_validated_rebuild():
+    """partial_dual shares the labels and indexes only the walks; every
+    table equals that of the same graph built and validated afresh."""
+    for g in PARTIAL_DUAL_GRAPHS:
+        for mask in all_masks(g):
+            pd = g.partial_dual(mask)
+            ref = RibbonGraph(pd.vertices, pd.edges)
+            assert pd == ref and hash(pd) == hash(ref), (g, mask)
+            assert pd.switching_form() == ref.switching_form(), (g, mask)
+            for name in TABLES:
+                assert getattr(pd, name) == getattr(ref, name), (g, mask, name)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda walks: [walks[0] + walks[0][:1]] + walks[1:],
+    lambda walks: [walks[0][1:]] + walks[1:],
+    lambda walks: [walks[0][:1] + walks[0][:-1]] + walks[1:],
+], ids=["repeated", "missing", "repeated-in-place-of-one"])
+def test_partial_dual_rejects_walks_that_miss_a_half_edge(monkeypatch, bad):
+    dual_walks = RibbonGraph._dual_walks
+
+    def broken(self, mask):
+        walks, signs = dual_walks(self, mask)
+        return bad(walks), signs
+
+    monkeypatch.setattr(RibbonGraph, "_dual_walks", broken)
+    with pytest.raises(RibbonError, match="every half-edge once"):
+        th().partial_dual(1)
+
+
 def test_partial_dual_of_everything_is_dual():
     g = m1()
     pd = g.partial_dual(g.edge_mask(["e1"]))
