@@ -22,10 +22,13 @@ of that tree, a recursive fold shaped like ribbon._sweep: it starts at a
 spanning tree, reads its rows off the corner walk once, and reaches each
 other quasi-tree by a principal pivot transform of the rows on one or
 two edges, once per branching node, so it costs about the number of
-quasi-trees and never scans the 2^e subsets.  A callback takes each
-leaf, and resolution_tree folds the branching nodes too.  Liveness is
-one AND of a row with the mask of the lower edges, orientability the
-diagonal bit.
+quasi-trees and never scans the 2^e subsets.  Below a node only the rows
+of the edges not yet examined are ever read, and the pivot of A on X
+restricted to a principal submatrix on F containing X is the pivot of
+A[F] on X (Tsatsomeros 2000), so a pivot rewrites only those rows.  A
+callback takes each leaf, and resolution_tree folds the branching nodes
+too.  Liveness is one AND of a row with the mask of the lower edges,
+orientability the diagonal bit.
 quasi_tree_masks, the subsets with bc = 1 read off the 2^e subset sweep
 of the brute-force sums, stays the independent oracle of the descent.
 ActivityPartition is the label view of the class masks, and VertexWord
@@ -243,19 +246,25 @@ def _classes(rows, lower, mask):
 
 
 def _pivot(rows, e, free):
-    """(X, rows of the interlace matrix of Q xor X) for the principal
-    pivot transform of Q's rows on X = {e} if e's diagonal bit is set, else
-    on X = {e, f} for the lowest f in free linking e.  A[X] is then
-    nonsingular over GF(2), so Q xor X is a quasi-tree.  Only the rows of
-    the edges linking e or f change: the loops walk the set bits of that
-    mask, and read the rewritten rows e and f once."""
+    """(X, rows of the interlace matrix of Q xor X on free) for the
+    principal pivot transform of Q's rows on X = {e} if e's diagonal bit
+    is set, else on X = {e, f} for the lowest f in free linking e.  A[X]
+    is then nonsingular over GF(2), so Q xor X is a quasi-tree.
+
+    free holds the edges not yet examined, e among them.  The pivot of A
+    on X, restricted to the principal submatrix on free, is the pivot of
+    A[free] on X, so only the rows of free edges linking e or f are
+    rewritten; each at full width, so the rows of free stay exact while
+    those of the examined edges go stale.  The loops walk the set bits of
+    that mask, and read the rewritten rows e and f once."""
     rows = list(rows)
     be = 1 << e
     re = rows[e]
     if re & be:
         # inverse block [1]: row e stays and every row linking e adds it
         # off the diagonal
-        off = m = re ^ be
+        off = re ^ be
+        m = off & free
         while m:
             low = m & -m
             rows[low.bit_length() - 1] ^= off
@@ -269,7 +278,7 @@ def _pivot(rows, e, free):
     ye, yf = re & ~x, rf & ~x
     ne = rows[e] = (yf | bf) ^ (ye | be if rf & bf else 0)
     nf = rows[f] = ye | be
-    m = ye | yf
+    m = (ye | yf) & free
     while m:
         low = m & -m
         i = low.bit_length() - 1
@@ -287,36 +296,41 @@ def _pivot(rows, e, free):
 def _descent(g, lower, leaf, branch=None, d=None):
     """Fold the resolution tree of g under the order given by lower, depth
     first with the 0-child first, and return the root's value.  A leaf's
-    value is leaf(ones, zeros, Q, rows, c_g, c_d, g_parent, d_parent); a
-    node branching on edge index ei has the value branch(zero, one, ei,
-    ones, zeros, Q, rows, c_g, c_d) of its children's values zero and
-    one, or None without branch.  Q is a quasi-tree completing the node's
+    value is leaf(ones, zeros, Q, c_g, c_d, g_parent, d_parent); a node
+    branching on edge index ei has the value branch(zero, one, ei, ones,
+    zeros, Q, rows, c_g, c_d) of its children's values zero and one, or
+    None without branch.  Q is a quasi-tree completing the node's
     resolution (the one, at a leaf) and rows the interlace rows of Q's
-    vertex word.  The leaves are reached in pre-order.
+    vertex word, exact on the edges lower[ei] | 1 << ei not yet examined;
+    the rows of examined edges are stale.  The leaves are reached in
+    pre-order.
 
     The quasi-trees completing a node are Q xor X for the sets X of edges
     not yet examined with A_Q[X] nonsingular over GF(2) (Bouchet), so the
     next edge e branches exactly when its row meets those edges; otherwise
     it is nugatory and skipped.  The child agreeing with Q on e keeps (Q,
-    rows), the other one pivots.
+    rows), the other one pivots.  Both read only the rows of edges below
+    e, so the pivot rewrites only those (see _pivot).
 
-    Two rollback union-finds ride along: g_parent holds the edges of ones
-    in g, and d_parent those of zeros in d, a graph on the same edges (the
-    dual cellulation, for the expansion; without d, d_parent is None and
-    c_d 0).  c_g and c_d count their classes.  The 0-child joins its
-    edge's ends in d, the 1-child in g, and the union is undone by
-    resetting the moved root on return, as in ribbon._sweep, so the lists
-    are only valid inside the leaf call.  At a leaf, ones is VI(Q) = DI u
-    I_n, zeros is VE(Q) = DE u E_n and the unresolved edges are I_o u E_o.
-    The recursion is one level per branching edge, at most 64 deep.
+    With d, a graph on the same edges (the dual cellulation, for the
+    expansion), two rollback union-finds ride along: g_parent holds the
+    edges of ones in g and d_parent those of zeros in d, and c_g and c_d
+    count their classes.  The 0-child joins its edge's ends in d, the
+    1-child in g, and the union is undone by resetting the moved root on
+    return, as in ribbon._sweep, so the lists are only valid inside the
+    leaf call.  Without d both are None, c_g stays g.n_vertices and c_d 0.
+    At a leaf, ones is VI(Q) = DI u I_n, zeros is VE(Q) = DE u E_n and the
+    unresolved edges are I_o u E_o.  The recursion is one level per
+    branching edge, at most 64 deep.
     """
     if g.components() != 1:
         raise RibbonError("quasi-trees are defined for connected graphs")
     desc = sorted(range(len(lower)), key=lower.__getitem__, reverse=True)
     n = len(desc)
-    g_parent, g_ends = list(range(g.n_vertices)), g._ends
-    d_parent, d_ends = ((None, None) if d is None
-                        else (list(range(d.n_vertices)), d._ends))
+    g_parent = g_ends = d_parent = d_ends = None
+    if d is not None:
+        g_parent, g_ends = list(range(g.n_vertices)), g._ends
+        d_parent, d_ends = list(range(d.n_vertices)), d._ends
     # frees[j]: the edges not yet examined when desc[j] is reached
     frees = [lower[ei] | 1 << ei for ei in desc]
 
@@ -328,7 +342,7 @@ def _descent(g, lower, leaf, branch=None, d=None):
                 break
             j += 1
         else:
-            return leaf(ones, zeros, q, rows, c_g, c_d, g_parent, d_parent)
+            return leaf(ones, zeros, q, c_g, c_d, g_parent, d_parent)
         bit = 1 << ei
         x, flipped = _pivot(rows, ei, free)
         if q & bit:
@@ -340,7 +354,7 @@ def _descent(g, lower, leaf, branch=None, d=None):
                      c_g, c_d - (r >= 0))
         if r >= 0:
             d_parent[r] = r
-        r = _join(g_parent, g_ends[ei])
+        r = -1 if g_parent is None else _join(g_parent, g_ends[ei])
         one = visit(j + 1, ones | bit, zeros, one_q, one_rows,
                     c_g - (r >= 0), c_d)
         if r >= 0:
@@ -582,7 +596,7 @@ def expansion_krushkal(emb, order=None):
     # the quasi-trees per distinct term
     tally = {}
 
-    def leaf(vi, ve, q, _, c_vi, c_ve, g_parent, d_parent):
+    def leaf(vi, ve, q, c_vi, c_ve, g_parent, d_parent):
         # at a leaf VI = ones, VE = zeros and I_o u E_o is unresolved
         unresolved = full ^ vi ^ ve
         i_o, e_o = unresolved & q, unresolved & ~q

@@ -301,7 +301,7 @@ def minor_counts(g, order, q):
     d = g.dual()
     found = []
 
-    def leaf(ones, zeros, leaf_q, _, c_g, c_d, g_parent, d_parent):
+    def leaf(ones, zeros, leaf_q, c_g, c_d, g_parent, d_parent):
         if leaf_q == q:
             unresolved = g.full_mask ^ ones ^ zeros
             found.append([
@@ -460,7 +460,7 @@ def test_block_product_is_tutte_on_every_minor_key():
     for g in [make() for make in CONNECTED.values()] + random_twisted_graphs():
         d = EmbeddedGraph(g).dual_cellulation
 
-        def leaf(ones, zeros, q, _, c_g, c_d, g_parent, d_parent):
+        def leaf(ones, zeros, q, c_g, c_d, g_parent, d_parent):
             unresolved = g.full_mask ^ ones ^ zeros
             seen.add(_end_pairs(g_parent, g._ends, unresolved & q))
             seen.add(_end_pairs(d_parent, d._ends, unresolved & ~q))

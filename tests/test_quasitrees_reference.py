@@ -1,8 +1,9 @@
 """The bitset activities, the interlace descent and the resolution tree
 against reference constructions: pairwise VertexWord.links for liveness,
 the 2^e boundary-walk scan for the quasi-trees, the corner walk of each
-quasi-tree for its interlace rows, a resolution tree that re-scans the
-whole quasi-tree list at every node, a breadth-first search for the
+quasi-tree for its interlace rows, a full-width pivot for the pivot
+that rewrites only the unexamined rows, a resolution tree that re-scans
+the whole quasi-tree list at every node, a breadth-first search for the
 classes that the descent carries to each leaf and for the components
 behind each minor key, and an explicit-stack descent with a rollback
 trail for the recursive fold."""
@@ -138,17 +139,34 @@ def test_activities_reject_non_quasi_trees_like_the_word(name, g):
             "subgraph is not a quasi-tree (bc != 1)"
 
 
+def bits(mask):
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def exact_rows(rows, mask):
+    """The rows of the edges in mask, the ones a pivot keeps exact."""
+    return [rows[i] for i in bits(mask)]
+
+
 @pytest.mark.parametrize("name,g,order", CASES, ids=[c[0] for c in CASES])
 def test_descent_leaves_match_the_scan_and_the_walk(name, g, order):
+    """At every branching node the rows of the edges not yet examined
+    are those of the corner walk of the node's Q; the leaves are the
+    quasi-trees, and the classes of each are read off its walk."""
     lower = _lower_masks(g, order)
-    leaves = []
-    _descent(g, lower, lambda ones, zeros, q, rows, *_:
-             leaves.append((q, rows)))
-    assert sorted(q for q, _ in leaves) == quasi_tree_masks(g), name
-    for q, rows in leaves:
-        assert rows == _walk_rows(g, q), (name, q)
-        classes = _classes(rows, lower, q)
-        assert classes == _classes(_walk_rows(g, q), lower, q), (name, q)
+    leaves, branched = [], []
+
+    def branch(zero, one, ei, ones, zeros, q, rows, *_):
+        free = lower[ei] | 1 << ei
+        assert exact_rows(rows, free) == \
+            exact_rows(_walk_rows(g, q), free), (name, ei, q)
+        branched.append(ei)
+
+    _descent(g, lower, lambda ones, zeros, q, *_: leaves.append(q), branch)
+    assert sorted(leaves) == quasi_tree_masks(g), name
+    assert len(branched) == len(leaves) - 1, name
+    for q in leaves:
+        classes = _classes(_walk_rows(g, q), lower, q)
         assert ActivityPartition(*map(g.mask_labels, classes)) == \
             reference_activities(g, order, q), (name, q)
 
@@ -222,7 +240,7 @@ def test_descent_leaves_carry_vi_ve_and_their_classes(name, g, order):
     d = g.dual()
     leaves = []
 
-    def leaf(ones, zeros, q, rows, c_g, c_d, *_):
+    def leaf(ones, zeros, q, c_g, c_d, *_):
         leaves.append(q)
         ref = reference_activities(g, order, q)
         assert set(g.mask_labels(ones)) == ref.vi, (name, q)
@@ -240,15 +258,15 @@ def test_descent_leaves_carry_vi_ve_and_their_classes(name, g, order):
                          ids=[c[0] for c in GRAPHS + FEW_VERTICES])
 def test_minor_keys_match_search(name, g):
     """The end pairs read off the carried union-finds at every leaf, with
-    the classes taken from the interlace rows rather than the leaf."""
+    the classes taken from the corner walk of Q rather than the leaf."""
     d = g.dual()
     lower = _lower_masks(g, None)
     leaves = []
 
-    def leaf(ones, zeros, q, rows, c_g, c_d, g_parent, d_parent):
+    def leaf(ones, zeros, q, c_g, c_d, g_parent, d_parent):
         # the union-finds are only valid inside this call
         leaves.append(q)
-        di, i_o, i_n, de, e_o, e_n = _classes(rows, lower, q)
+        di, i_o, i_n, de, e_o, e_n = _classes(_walk_rows(g, q), lower, q)
         assert _end_pairs(g_parent, g._ends, i_o) == \
             reference_minor_key(g, di | i_n, i_o), (name, q)
         assert _end_pairs(d_parent, d._ends, e_o) == \
@@ -258,19 +276,105 @@ def test_minor_keys_match_search(name, g):
     assert sorted(leaves) == quasi_tree_masks(g), name
 
 
+def reference_pivot(rows, e, free):
+    """(X, rows of Q xor X) for the principal pivot transform of all of
+    Q's rows on X = {e} if e's diagonal bit is set, else on X = {e, f}
+    for the lowest f in free linking e: every row linking e or f is
+    rewritten, examined or not."""
+    rows = list(rows)
+    be = 1 << e
+    re = rows[e]
+    if re & be:
+        off = re ^ be
+        for i in bits(off):
+            rows[i] ^= off
+        return be, rows
+    bf = re & free & -(re & free)
+    f = bf.bit_length() - 1
+    x = be | bf
+    rf = rows[f]
+    ye, yf = re & ~x, rf & ~x
+    ne = rows[e] = (yf | bf) ^ (ye | be if rf & bf else 0)
+    nf = rows[f] = ye | be
+    for i in bits(ye | yf):
+        row = rows[i]
+        new = row & ~x
+        if row & be:
+            new ^= ne
+        if row & bf:
+            new ^= nf
+        rows[i] = new
+    return x, rows
+
+
+def pivot_frees(rows, e, n, rng):
+    """Every free set containing e that e's row meets, when there are at
+    most 2^8 of them; otherwise, for every f that can be the lowest free
+    edge linking e, the largest such free set and two random ones."""
+    be = 1 << e
+    others = ((1 << n) - 1) ^ be
+    if n <= 9:
+        # the subsets of others, from others down to 0
+        sub = others
+        while True:
+            if rows[e] & (be | sub):
+                yield be | sub
+            if not sub:
+                return
+            sub = (sub - 1) & others
+    if rows[e] & be:
+        yield be
+        yield be | others
+        yield be | (rng.getrandbits(n) & others)
+        return
+    linked = rows[e] & others
+    for f in bits(linked):
+        # free holds f and no edge linking e below it
+        allowed = others ^ (linked & ((1 << f) - 1))
+        yield be | allowed
+        for _ in range(2):
+            yield be | (1 << f) | (rng.getrandbits(n) & allowed)
+
+
+PIVOT_GRAPHS = [(name, g) for name, g in GRAPHS + FEW_VERTICES
+                if g.n_edges and g.components() == 1]
+
+
+@pytest.mark.parametrize("name,g", PIVOT_GRAPHS,
+                         ids=[c[0] for c in PIVOT_GRAPHS])
+def test_pivot_keeps_the_free_rows_exact(name, g):
+    """For every quasi-tree Q, every edge e and every free set around e
+    that e's row meets (sampled past eight other edges), the pivot picks
+    the reference's X and its rows of the free edges are the reference's
+    and those of the corner walk of Q xor X."""
+    walked = {q: _walk_rows(g, q) for q in quasi_tree_masks(g)}
+    rng = random.Random(20)
+    n = g.n_edges
+    for q, rows in walked.items():
+        for e in range(n):
+            for free in pivot_frees(rows, e, n, rng):
+                x, got = _pivot(rows, e, free)
+                ref_x, ref = reference_pivot(rows, e, free)
+                assert x == ref_x, (name, q, e, free)
+                assert exact_rows(got, free) == exact_rows(ref, free) == \
+                    exact_rows(walked[q ^ x], free), (name, q, e, free)
+
+
 def reference_descent(g, lower, d=None):
     """The resolution tree of g under lower, in pre-order with the 0-child
-    first, by an explicit stack and a rollback trail: (edge index, ones,
-    zeros, Q, rows, c_g, c_d, g_parent, d_parent) at a node branching on
-    that edge, the same with None for the edge at a leaf.  The unions in
-    force are undone from the trail when the stack pops a node of a lower
-    depth, so the union-finds are valid only at the node just yielded."""
+    first, by an explicit stack, full-width pivots and a rollback trail:
+    (edge index, ones, zeros, Q, rows, c_g, c_d, g_parent, d_parent) at a
+    node branching on that edge, the same with None for the edge and the
+    rows at a leaf.  With d, the unions in force are undone from the
+    trail when the stack pops a node of a lower depth, so the union-finds
+    are valid only at the node just yielded; without d both are None and
+    c_g stays g.n_vertices."""
     if g.components() != 1:
         raise RibbonError("quasi-trees are defined for connected graphs")
     desc = sorted(range(len(lower)), key=lower.__getitem__, reverse=True)
-    g_parent, g_ends = list(range(g.n_vertices)), g._ends
-    d_parent, d_ends = ((None, None) if d is None
-                        else (list(range(d.n_vertices)), d._ends))
+    g_parent = d_parent = None
+    if d is not None:
+        g_parent, d_parent = list(range(g.n_vertices)), list(range(d.n_vertices))
     # (union-find, moved root) of every union in force
     trail = []
     q = _forest(g, range(len(g.edges)))
@@ -281,17 +385,17 @@ def reference_descent(g, lower, d=None):
         while len(trail) > depth:
             parent, r = trail.pop()
             parent[r] = r
-        if j:
+        if j and d is not None:
             # the edge this child decided: into ones joins it in g, into
             # zeros in d
             ei = desc[j - 1]
             if ones >> ei & 1:
-                r = _join(g_parent, g_ends[ei])
+                r = _join(g_parent, g._ends[ei])
                 if r >= 0:
                     trail.append((g_parent, r))
                     c_g -= 1
-            elif d_parent is not None:
-                r = _join(d_parent, d_ends[ei])
+            else:
+                r = _join(d_parent, d._ends[ei])
                 if r >= 0:
                     trail.append((d_parent, r))
                     c_d -= 1
@@ -301,11 +405,11 @@ def reference_descent(g, lower, d=None):
             if rows[ei] & free:
                 break
         else:
-            yield None, ones, zeros, q, rows, c_g, c_d, g_parent, d_parent
+            yield None, ones, zeros, q, None, c_g, c_d, g_parent, d_parent
             continue
         yield ei, ones, zeros, q, rows, c_g, c_d, g_parent, d_parent
         bit = 1 << ei
-        x, flipped = _pivot(rows, ei, free)
+        x, flipped = reference_pivot(rows, ei, free)
         one = zero = (q, rows)
         if q & bit:
             zero = (q ^ x, flipped)
@@ -316,12 +420,17 @@ def reference_descent(g, lower, d=None):
         stack.append((j + 1, ones, zeros | bit, *zero, c_g, c_d, depth))
 
 
-def node_record(g, d, ei, ones, zeros, q, rows, c_g, c_d, g_parent, d_parent):
-    """What the fold and the reference must agree on at one node; at a
-    leaf also the end pairs of I_o in G and of E_o in d, read off the live
-    union-finds."""
-    record = (ei, ones, zeros, q, tuple(rows), c_g, c_d)
-    if ei is not None or d is None:
+def node_record(g, lower, d, ei, ones, zeros, q, rows, c_g, c_d,
+                g_parent, d_parent):
+    """What the fold and the reference must agree on at one node: at a
+    branching node the rows of the edges not yet examined, which the fold
+    keeps exact; at a leaf whether the union-finds ride along, and with d
+    the end pairs of I_o in G and of E_o in d, read off the live ones."""
+    record = (ei, ones, zeros, q, c_g, c_d)
+    if ei is not None:
+        return record + (tuple(exact_rows(rows, lower[ei] | 1 << ei)),)
+    record += (g_parent is None, d_parent is None)
+    if d is None:
         return record
     unresolved = g.full_mask ^ ones ^ zeros
     return record + (_end_pairs(g_parent, g._ends, unresolved & q),
@@ -333,13 +442,13 @@ def fold_preorder(g, lower, d=None):
     leaves in the order the leaf callback ran."""
     called = []
 
-    def leaf(*args):
-        record = node_record(g, d, None, *args)
+    def leaf(ones, zeros, q, *args):
+        record = node_record(g, lower, d, None, ones, zeros, q, None, *args)
         called.append(record)
         return [record]
 
     def branch(zero, one, ei, *args):
-        return [node_record(g, d, ei, *args, None, None)] + zero + one
+        return [node_record(g, lower, d, ei, *args, None, None)] + zero + one
 
     return _descent(g, lower, leaf, branch, d), called
 
@@ -369,11 +478,12 @@ FOLD_CASES = list(fold_cases())
 @pytest.mark.parametrize("name,g,order", FOLD_CASES,
                          ids=[c[0] for c in FOLD_CASES])
 def test_fold_visits_the_reference_nodes_in_preorder(name, g, order):
-    """Edge, ones, zeros, Q, rows, c_g and c_d at every node, and the
-    minor end pairs at every leaf, with and without the dual."""
+    """Edge, ones, zeros, Q, c_g and c_d at every node, the unexamined
+    rows at every branching node, and the minor end pairs at every leaf,
+    with and without the dual."""
     lower = _lower_masks(g, order)
     for d in (None, g.dual()):
-        ref = [node_record(g, d, *node)
+        ref = [node_record(g, lower, d, *node)
                for node in reference_descent(g, lower, d)]
         nodes, called = fold_preorder(g, lower, d)
         assert nodes == ref, name
