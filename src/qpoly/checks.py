@@ -351,7 +351,11 @@ def _check_partial_duality_connectivity(emb, order):
         amasks = list(range(full + 1))
     else:
         rng = XorShift64Star(e * 11400714819323198485 + 3)
-        amasks = [rng.below(full + 1) for _ in range(16)]
+        # a sweep costs 2^|E - A|: drop the A's past the subgraph_profile cap
+        amasks = [a for a in (rng.below(full + 1) for _ in range(16))
+                  if (full ^ a).bit_count() <= 16]
+        if not amasks:
+            return ("SKIP", "every sampled A leaves more than 16 edges outside it")
     for a in amasks:
         v, _, _, _, ends = _partial_dual_facts(emb, a)
         ga = MultiGraph(range(v), [(lbl, x, y)

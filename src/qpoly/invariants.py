@@ -74,6 +74,16 @@ def _tally(g, marked, d=None):
     return acc
 
 
+def _poly(tally, exponents):
+    """The LaurentPoly summing count * monomial over a _tally, with the
+    doubled exponent vector of each key given by exponents(*key)."""
+    acc = {}
+    for key, n in tally.items():
+        vec = exponents(*key)
+        acc[vec] = acc.get(vec, 0) + n
+    return LaurentPoly(acc)
+
+
 def krushkal(emb):
     """The Krushkal polynomial of an embedded graph, by direct summation.
 
@@ -91,12 +101,9 @@ def krushkal(emb):
     nv, nv_d, ne = g.n_vertices, d.n_vertices, g.n_edges
     c_g = g.components(marked)
     c_sigma = g.components()
-    acc = {}
-    for (k, c, c_perp, bc), n in _tally(g, marked, d).items():
-        key = (2 * (c - c_g), 2 * (c_perp - c_sigma),
-               2 * c - nv + k - bc, 2 * c_perp - nv_d + ne - k - bc, 0)
-        acc[key] = acc.get(key, 0) + n
-    return LaurentPoly(acc)
+    return _poly(_tally(g, marked, d), lambda k, c, c_perp, bc: (
+        2 * (c - c_g), 2 * (c_perp - c_sigma),
+        2 * c - nv + k - bc, 2 * c_perp - nv_d + ne - k - bc, 0))
 
 
 def tutte(g):
@@ -105,11 +112,8 @@ def tutte(g):
         raise TypeError("tutte expects a MultiGraph")
     c_g = g.components()
     nv = g.n_vertices
-    acc = {}
-    for (k, c, _, _), n in _tally(g, g.full_mask).items():
-        key = (2 * (c - c_g), 2 * (k - nv + c), 0, 0, 0)
-        acc[key] = acc.get(key, 0) + n
-    return LaurentPoly(acc)
+    return _poly(_tally(g, g.full_mask), lambda k, c, c_d, bc: (
+        2 * (c - c_g), 2 * (k - nv + c), 0, 0, 0))
 
 
 def bollobas_riordan(g):
@@ -121,12 +125,8 @@ def bollobas_riordan(g):
         raise TypeError("bollobas_riordan expects a RibbonGraph")
     c_g = g.components()
     nv = g.n_vertices
-    acc = {}
-    for (k, c, _, bc), n in _tally(g, g.full_mask).items():
-        key = (2 * (c - c_g), 2 * (k - nv + c), 0, 0,
-               2 * (2 * c - nv + k - bc))
-        acc[key] = acc.get(key, 0) + n
-    return LaurentPoly(acc)
+    return _poly(_tally(g, g.full_mask), lambda k, c, c_d, bc: (
+        2 * (c - c_g), 2 * (k - nv + c), 0, 0, 2 * (2 * c - nv + k - bc)))
 
 
 def las_vergnas(emb):
@@ -143,20 +143,31 @@ def las_vergnas(emb):
         raise RibbonError("the Las Vergnas polynomial needs a cellular embedding")
     g = emb.cellulation
     d = emb.dual_cellulation
-    full = g.full_mask
     c_full, c_d_full = g.components(), d.components()
     ne, nv_d = g.n_edges, d.n_vertices
-    acc = {}
     # the underlying graph: r and rb need no boundary count
-    for (k, c, c_d, _), n in _tally(g.underlying_graph(), full, d).items():
-        dr = c - c_full
-        key = (2 * dr, 2 * (c_d - c_d_full), 0, 0,
-               2 * (ne - nv_d - k + c_d - dr))
-        acc[key] = acc.get(key, 0) + n
-    return LaurentPoly(acc).substitute({
+    tally = _tally(g.underlying_graph(), g.full_mask, d)
+    shifted = _poly(tally, lambda k, c, c_d, bc: (
+        2 * (c - c_full), 2 * (c_d - c_d_full), 0, 0,
+        2 * (ne - nv_d - k + c_d - (c - c_full))))
+    return shifted.substitute({
         "X": LaurentPoly.variable("X") - 1,
         "Y": LaurentPoly.variable("Y") - 1,
     })
+
+
+# kind: (the bindings of the Krushkal variables, the variable that the
+# surface parameter shifts by half its value)
+_SPECIALIZATIONS = {
+    PolyKind.TUTTE: ({"A": LaurentPoly.variable("Y"),
+                      "B": LaurentPoly.term(Y=-1)}, "Y"),
+    PolyKind.BR: ({"A": LaurentPoly.term(Y=1, Z=2),
+                   "B": LaurentPoly.term(Y=-1)}, "Y"),
+    PolyKind.LV: ({"X": LaurentPoly.variable("X") - 1,
+                   "Y": LaurentPoly.variable("Y") - 1,
+                   "A": LaurentPoly.term(Z=-1),
+                   "B": LaurentPoly.variable("Z")}, "Z"),
+}
 
 
 def specialize(p, target, *, delta=None, s=None):
@@ -167,33 +178,11 @@ def specialize(p, target, *, delta=None, s=None):
     ribbon graph) and gives Y^(s/2) p(X, Y, Y Z^2, Y^-1); 'lv' needs
     delta and gives Z^(delta/2) p(X-1, Y-1, Z^-1, Z).
     """
-    kind = PolyKind(target) if not isinstance(target, PolyKind) else target
+    kind = PolyKind(target)
     if kind is PolyKind.KRUSHKAL:
         return p
-    if kind is PolyKind.TUTTE:
-        if delta is None:
-            raise ValueError("tutte specialization needs delta")
-        sub = p.substitute({
-            "A": LaurentPoly.variable("Y"),
-            "B": LaurentPoly.term(Y=-1),
-        })
-        return LaurentPoly.term(Y=Fraction(delta, 2)) * sub
-    if kind is PolyKind.BR:
-        if s is None:
-            raise ValueError("br specialization needs s of the source graph")
-        sub = p.substitute({
-            "A": LaurentPoly.term(Y=1, Z=2),
-            "B": LaurentPoly.term(Y=-1),
-        })
-        return LaurentPoly.term(Y=Fraction(s, 2)) * sub
-    if kind is PolyKind.LV:
-        if delta is None:
-            raise ValueError("lv specialization needs delta")
-        sub = p.substitute({
-            "X": LaurentPoly.variable("X") - 1,
-            "Y": LaurentPoly.variable("Y") - 1,
-            "A": LaurentPoly.term(Z=-1),
-            "B": LaurentPoly.variable("Z"),
-        })
-        return LaurentPoly.term(Z=Fraction(delta, 2)) * sub
-    raise ValueError("unknown polynomial kind %r" % (target,))
+    bindings, var = _SPECIALIZATIONS[kind]
+    shift, needs = (s, "s of the source graph") if kind is PolyKind.BR else (delta, "delta")
+    if shift is None:
+        raise ValueError("%s specialization needs %s" % (kind.value, needs))
+    return LaurentPoly.term(**{var: Fraction(shift, 2)}) * p.substitute(bindings)

@@ -16,6 +16,7 @@ same grammar is read back by :func:`parse_poly`.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 __all__ = [
@@ -29,6 +30,7 @@ VARIABLES = ("X", "Y", "A", "B", "Z")
 _VAR_INDEX = {v: i for i, v in enumerate(VARIABLES)}
 _NVARS = len(VARIABLES)
 _ZERO_VEC = (0,) * _NVARS
+_TOKEN = re.compile(r"\s*(\d+|[XYABZ+*^()/-])")
 
 
 class SubstitutionError(ValueError):
@@ -142,15 +144,18 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # ring operations
 
-    def __add__(self, other):
+    def _merge(self, other, sign):
         if isinstance(other, int):
             other = LaurentPoly.constant(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self._terms)
         for vec, c in other._terms.items():
-            out[vec] = out.get(vec, 0) + c
+            out[vec] = out.get(vec, 0) + sign * c
         return LaurentPoly._raw(out)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
@@ -158,14 +163,7 @@ class LaurentPoly:
         return LaurentPoly._raw({v: -c for v, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.constant(other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for vec, c in other._terms.items():
-            out[vec] = out.get(vec, 0) - c
-        return LaurentPoly._raw(out)
+        return self._merge(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -210,10 +208,12 @@ class LaurentPoly:
 
         ``bindings`` maps variable names to LaurentPoly values (plain ints
         are accepted and treated as constants).  Unbound variables pass
-        through.  A variable bound to a monomial with unit coefficient may
-        carry any exponents, as long as the scaled exponents stay on the
-        half-integer grid; a non-monomial (or non-unit) binding requires
-        every exponent of that variable to be a nonnegative integer.
+        through.  A variable bound to a single term c*m may carry any
+        exponent d for which d times the exponents of m stays on the
+        half-integer grid; unless c is 1, d must also be an integer, and
+        nonnegative unless c is -1.  A variable bound to anything else,
+        the zero polynomial included, must carry nonnegative integer
+        exponents only.
         """
         subs = {}
         for var, val in bindings.items():
@@ -227,7 +227,7 @@ class LaurentPoly:
         if not subs:
             return self
 
-        pow_cache = {i: {} for i in subs}
+        powers = {}
         total = {}
         for vec, coeff in self._terms.items():
             new_vec = list(vec)
@@ -243,22 +243,13 @@ class LaurentPoly:
                     continue
                 bt = bound._terms
                 if len(bt) == 1:
-                    ((bvec, bcoeff),) = bt.items()
-                    if bcoeff == 1:
-                        pass
-                    elif bcoeff == -1:
-                        if d % 2:
+                    ((bvec, c),) = bt.items()
+                    if c != 1:
+                        if d % 2 or (d < 0 and c != -1):
                             raise SubstitutionError(
-                                "cannot raise coefficient -1 to the power %s"
-                                % _fmt_half(d))
-                        if (d // 2) % 2:
-                            mult = -mult
-                    else:
-                        if d % 2 or d < 0:
-                            raise SubstitutionError(
-                                "monomial with coefficient %d cannot take exponent %s"
-                                % (bcoeff, _fmt_half(d)))
-                        mult *= bcoeff ** (d // 2)
+                                "cannot raise coefficient %d to the power %s"
+                                % (c, _fmt_half(d)))
+                        mult *= c ** abs(d // 2)
                     for j, bd in enumerate(bvec):
                         if bd:
                             prod = d * bd
@@ -272,15 +263,16 @@ class LaurentPoly:
                         raise SubstitutionError(
                             "variable %s has exponent %s but is bound to a non-monomial"
                             % (VARIABLES[i], _fmt_half(d)))
-                    q = d // 2
-                    cache = pow_cache[i]
-                    if q not in cache:
-                        cache[q] = bound ** q
-                    factors.append(cache[q])
-            part = LaurentPoly._raw({tuple(new_vec): mult})
-            for f in factors:
-                part = part * f
-            for v2, c2 in part._terms.items():
+                    if (i, d) not in powers:
+                        powers[i, d] = bound ** (d // 2)
+                    factors.append(powers[i, d])
+            part = {tuple(new_vec): mult}
+            if factors:
+                product = LaurentPoly._raw(part)
+                for f in factors:
+                    product = product * f
+                part = product._terms
+            for v2, c2 in part.items():
                 total[v2] = total.get(v2, 0) + c2
         return LaurentPoly._raw(total)
 
@@ -294,27 +286,13 @@ class LaurentPoly:
         chunks = []
         for vec in sorted(self._terms, reverse=True):
             coeff = self._terms[vec]
-            parts = []
-            for var, d in zip(VARIABLES, vec):
-                if not d:
-                    continue
-                if d == 2:
-                    parts.append(var)
-                else:
-                    parts.append("%s^%s" % (var, _fmt_half(d)))
-            mag = abs(coeff)
-            if not parts:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(parts)
-            else:
-                body = "%d*%s" % (mag, "*".join(parts))
-            chunks.append(("-" if coeff < 0 else "+", body))
-        sign, body = chunks[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in chunks[1:]:
-            text += " %s %s" % (sign, body)
-        return text
+            parts = [var if d == 2 else "%s^%s" % (var, _fmt_half(d))
+                     for var, d in zip(VARIABLES, vec) if d]
+            if abs(coeff) != 1 or not parts:
+                parts.insert(0, str(abs(coeff)))
+            chunks.append(("- " if coeff < 0 else "+ ") + "*".join(parts))
+        text = " ".join(chunks)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __str__(self):
         return self.canonical_text()
@@ -326,124 +304,78 @@ class LaurentPoly:
 # ----------------------------------------------------------------------
 # parsing
 
-def _lex_poly(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("num", text[i:j]))
-            i = j
-        elif ch in "XYABZ":
-            tokens.append(("var", ch))
-            i += 1
-        elif ch in "+-*^()/":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise ValueError("unexpected character %r at position %d in polynomial" % (ch, i))
-    return tokens
-
-
 def parse_poly(text):
-    """Parse the canonical polynomial grammar back into a LaurentPoly."""
-    tokens = _lex_poly(text)
+    """Parse the canonical polynomial grammar back into a LaurentPoly.
+
+    The grammar: poly = ['-'] term {('+' | '-') term}, term = factor
+    {'*' factor}, factor = number | variable ['^' exponent], and exponent
+    = ['-'] number | '(' ['-'] number ['/' number] ')', where a fraction
+    must reduce to denominator 1 or 2.  Spaces may stand between tokens;
+    like terms add up.
+    """
+    tokens, pos = [], 0
+    text = text.rstrip()
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            pos = len(text) - len(text[pos:].lstrip())
+            raise ValueError("unexpected character %r at position %d in polynomial"
+                             % (text[pos], pos))
+        tokens.append(m[1])
+        pos = m.end()
+    tokens.append("")  # the end, which no take() consumes
     pos = 0
 
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
+    def unexpected(wanted):
+        found = repr(tokens[pos]) if tokens[pos] else "the end"
+        return ValueError("expected %s but found %s in polynomial" % (wanted, found))
 
-    def take(kind=None):
+    def take(token, needed=False):
         nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of polynomial")
-        tok = tokens[pos]
-        if kind is not None and tok[0] != kind:
-            raise ValueError("expected %s but found %r in polynomial" % (kind, tok[1]))
+        if tokens[pos] == token:
+            pos += 1
+            return True
+        if needed:
+            raise unexpected(repr(token))
+        return False
+
+    def number():
+        nonlocal pos
+        if not tokens[pos].isdecimal():
+            raise unexpected("a number")
         pos += 1
-        return tok
+        return int(tokens[pos - 1])
 
-    def parse_exponent():
-        # bare (optionally negative) integer, or a parenthesised reduced
-        # fraction with denominator 1 or 2
-        if peek() == "(":
-            take("(")
-            neg = False
-            if peek() == "-":
-                take("-")
-                neg = True
-            num = int(take("num")[1])
-            den = 1
-            if peek() == "/":
-                take("/")
-                den = int(take("num")[1])
-            take(")")
-            if den == 1:
-                doubled = 2 * num
-            elif den == 2:
-                doubled = num
-                if doubled % 2 == 0:
-                    raise ValueError("exponent %d/2 is not reduced" % num)
-            else:
-                raise ValueError("exponent denominator must be 1 or 2, got %d" % den)
-            return -doubled if neg else doubled
-        neg = False
-        if peek() == "-":
-            take("-")
-            neg = True
-        num = int(take("num")[1])
-        return -2 * num if neg else 2 * num
-
-    def parse_term():
-        coeff = 1
-        vec = [0] * _NVARS
-        saw_factor = False
-        while True:
-            kind = peek()
-            if kind == "num":
-                coeff *= int(take("num")[1])
-            elif kind == "var":
-                var = take("var")[1]
-                d = 2
-                if peek() == "^":
-                    take("^")
-                    d = parse_exponent()
-                vec[_VAR_INDEX[var]] += d
-            else:
-                raise ValueError("expected a number or variable in polynomial term")
-            saw_factor = True
-            if peek() == "*":
-                take("*")
-                continue
-            break
-        if not saw_factor:
-            raise ValueError("empty polynomial term")
-        return tuple(vec), coeff
+    def exponent():
+        """The doubled exponent that follows a '^'."""
+        if not take("("):
+            return -2 * number() if take("-") else 2 * number()
+        sign = -1 if take("-") else 1
+        num = number()
+        den = number() if take("/") else 1
+        take(")", needed=True)
+        if den not in (1, 2) or (den == 2 and num % 2 == 0):
+            raise ValueError("exponent %d/%d is not a reduced fraction with "
+                             "denominator 1 or 2" % (num, den))
+        return sign * num * (2 // den)
 
     result = {}
-    sign = 1
-    if peek() == "-":
-        take("-")
-        sign = -1
+    coeff, vec = (-1 if take("-") else 1), [0] * _NVARS
     while True:
-        vec, coeff = parse_term()
-        coeff *= sign
-        result[vec] = result.get(vec, 0) + coeff
-        kind = peek()
-        if kind is None:
-            break
-        if kind == "+":
-            take("+")
-            sign = 1
-        elif kind == "-":
-            take("-")
-            sign = -1
+        var = tokens[pos]
+        if var in _VAR_INDEX:
+            pos += 1
+            vec[_VAR_INDEX[var]] += exponent() if take("^") else 2
         else:
-            raise ValueError("expected + or - between polynomial terms, found %r" % tokens[pos][1])
-    return LaurentPoly._raw(result)
+            coeff *= number()
+        if take("*"):
+            continue
+        key = tuple(vec)
+        result[key] = result.get(key, 0) + coeff
+        if not tokens[pos]:
+            return LaurentPoly._raw(result)
+        sign = tokens[pos]
+        if sign not in ("+", "-"):
+            raise unexpected("+ or - between terms")
+        pos += 1
+        coeff, vec = (-1 if sign == "-" else 1), [0] * _NVARS

@@ -2,6 +2,7 @@ import contextlib
 import io
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,26 @@ def test_check_battery_completes_above_16_edges():
     assert all(status != "FAIL" for _, status, _ in results)
     assert ("partial-dual-composition", "PASS", "") in results
     assert ("dual-involution", "PASS", "") in results
+
+
+def test_partial_duality_connectivity_drops_the_a_past_16_free_edges(monkeypatch):
+    # one sweep per A costs 2^|E - A|: at e = 64 every sampled A leaves
+    # more than 16 edges outside it, at e = 24 one of the 16 does
+    emb = EmbeddedGraph(random_graph(20, 64, Fraction(3, 10), seed=8))
+    start = time.perf_counter()
+    results = checks_mod.run_checks(emb, emb.cellulation.edge_labels)
+    assert time.perf_counter() - start < 5
+    assert all(status != "FAIL" for _, status, _ in results)
+    assert ("partial-duality-connectivity", "SKIP",
+            "every sampled A leaves more than 16 edges outside it") in results
+    sweeps = []
+    sweep = checks_mod._sweep
+    monkeypatch.setattr(checks_mod, "_sweep",
+                        lambda g, rest, *args: sweeps.append(rest) or sweep(g, rest, *args))
+    emb = EmbeddedGraph(random_graph(5, 24, Fraction(3, 10), seed=8))
+    connectivity = dict(checks_mod.CHECKS)["partial-duality-connectivity"]
+    assert connectivity(emb, emb.cellulation.edge_labels) == ("PASS", "")
+    assert len(sweeps) == 15 and max(rest.bit_count() for rest in sweeps) <= 16
 
 
 def test_check_compares_partial_duals_at_16_edges(tmp_path, capsys):

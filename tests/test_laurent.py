@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpoly.laurent import (
     VARIABLES,
@@ -97,6 +97,14 @@ def test_substitute_scaled_coefficient():
         LaurentPoly.term(1, X=-1).substitute({"X": LaurentPoly.constant(2)})
     # but unit coefficients invert fine
     assert LaurentPoly.term(1, X=-1).substitute({"X": LaurentPoly.term(-1)}) == -1
+    assert LaurentPoly.term(1, X=-2).substitute({"X": LaurentPoly.term(-1)}) == 1
+    # -1 takes only integer powers, other coefficients only nonnegative ones
+    with pytest.raises(SubstitutionError):
+        A_half.substitute({"A": LaurentPoly.term(-1)})
+    for power in (-1, Fraction(1, 2)):
+        with pytest.raises(SubstitutionError):
+            LaurentPoly.term(1, X=power).substitute({"X": LaurentPoly.constant(3)})
+    assert LaurentPoly.term(1, X=2).substitute({"X": LaurentPoly.zero()}) == 0
 
 
 def test_substitute_variable_swap():
@@ -140,6 +148,140 @@ def test_parse_rejects_garbage():
 
 # ----------------------------------------------------------------------
 # property tests
+
+def reference_parse_poly(text):
+    """A hand lexer and recursive-descent parser of the canonical grammar,
+    kept as the reference that parse_poly must agree with."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("num", text[i:j]))
+            i = j
+        elif ch in "XYABZ":
+            tokens.append(("var", ch))
+            i += 1
+        elif ch in "+-*^()/":
+            tokens.append((ch, ch))
+            i += 1
+        else:
+            raise ValueError("unexpected character %r at position %d" % (ch, i))
+    pos = 0
+
+    def peek():
+        return tokens[pos][0] if pos < len(tokens) else None
+
+    def take(kind=None):
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ValueError("unexpected end of polynomial")
+        tok = tokens[pos]
+        if kind is not None and tok[0] != kind:
+            raise ValueError("expected %s but found %r" % (kind, tok[1]))
+        pos += 1
+        return tok
+
+    def parse_exponent():
+        if peek() == "(":
+            take("(")
+            neg = False
+            if peek() == "-":
+                take("-")
+                neg = True
+            num = int(take("num")[1])
+            den = 1
+            if peek() == "/":
+                take("/")
+                den = int(take("num")[1])
+            take(")")
+            if den == 1:
+                doubled = 2 * num
+            elif den == 2:
+                doubled = num
+                if doubled % 2 == 0:
+                    raise ValueError("exponent %d/2 is not reduced" % num)
+            else:
+                raise ValueError("exponent denominator must be 1 or 2, got %d" % den)
+            return -doubled if neg else doubled
+        neg = False
+        if peek() == "-":
+            take("-")
+            neg = True
+        num = int(take("num")[1])
+        return -2 * num if neg else 2 * num
+
+    def parse_term():
+        coeff = 1
+        vec = [0] * len(VARIABLES)
+        while True:
+            kind = peek()
+            if kind == "num":
+                coeff *= int(take("num")[1])
+            elif kind == "var":
+                var = take("var")[1]
+                d = 2
+                if peek() == "^":
+                    take("^")
+                    d = parse_exponent()
+                vec[VARIABLES.index(var)] += d
+            else:
+                raise ValueError("expected a number or variable")
+            if peek() == "*":
+                take("*")
+                continue
+            return tuple(vec), coeff
+
+    result = {}
+    sign = 1
+    if peek() == "-":
+        take("-")
+        sign = -1
+    while True:
+        vec, coeff = parse_term()
+        result[vec] = result.get(vec, 0) + sign * coeff
+        kind = peek()
+        if kind is None:
+            return LaurentPoly(result)
+        if kind == "+":
+            take("+")
+            sign = 1
+        elif kind == "-":
+            take("-")
+            sign = -1
+        else:
+            raise ValueError("expected + or - between terms, found %r" % tokens[pos][1])
+
+
+def parsed(parser, text):
+    try:
+        return parser(text)
+    except ValueError:
+        return ValueError
+
+
+# W stands for every character outside the grammar; the pieces make
+# exponents and whole terms likely
+POLY_CHARS = "0123456789XYABZ+-*^()/ W"
+POLY_PIECES = list(POLY_CHARS) + ["^(", "^-", "(-", "/2)", "/1)", "10", " + ", " - ",
+                                   "^(1/2)", "^(2/2)", "^(-3/2)", "^(4/1)", "^(3/0)"]
+
+
+@settings(max_examples=400, deadline=None)
+@example("A^(2/2)")
+@example("X*Y^2*X^-1*2*3 + Y^2")
+@example("-2*X^(-3/2) * Y - 3*B^(4/1)  ")
+@given(st.one_of(st.text(alphabet=POLY_CHARS, max_size=16),
+                 st.lists(st.sampled_from(POLY_PIECES), max_size=12).map("".join)))
+def test_parse_poly_agrees_with_the_reference_parser(text):
+    assert parsed(parse_poly, text) == parsed(reference_parse_poly, text)
+
 
 exponents = st.integers(min_value=-4, max_value=4)
 coeffs = st.integers(min_value=-9, max_value=9)
