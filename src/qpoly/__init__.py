@@ -30,7 +30,6 @@ from .quasitrees import (
     expansion_br,
     expansion_krushkal,
     expansion_lv,
-    one_vertex_word,
     resolution_tree,
 )
 from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph
@@ -61,7 +60,6 @@ __all__ = [
     "expansion_lv",
     "krushkal",
     "las_vergnas",
-    "one_vertex_word",
     "parse",
     "parse_poly",
     "random_graph",

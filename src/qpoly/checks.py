@@ -89,7 +89,6 @@ def compute_polynomial(emb, order, kind, method):
             return bollobas_riordan(emb.ribbon_subgraph())
         if kind is PolyKind.LV:
             return las_vergnas(emb)
-        raise ValueError("unknown polynomial kind %r" % kind)
     if method == "quasitree":
         return _quasitree_polynomial(emb, order, kind)
     raise ValueError("unknown method %r" % method)

@@ -31,8 +31,8 @@ too.  Liveness is one AND of a row with the mask of the lower edges,
 orientability the diagonal bit.
 quasi_tree_masks, the subsets with bc = 1 read off the 2^e subset sweep
 of the brute-force sums, stays the independent oracle of the descent.
-ActivityPartition is the label view of the class masks, and VertexWord
-(one_vertex_word) spells the word out for display.
+ActivityPartition is the label view of the class masks, and
+one_vertex_word spells the word out as (label, end, sign) tokens.
 
 expansion_krushkal sums one closed-form term per quasi-tree, read off the
 leaves of the descent alone.  At a leaf the resolved-to-1 edges are VI(Q)
@@ -63,7 +63,6 @@ from .laurent import LaurentPoly
 from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _sweep
 
 __all__ = [
-    "VertexWord",
     "ActivityPartition",
     "ResolutionNode",
     "ResolutionTree",
@@ -75,47 +74,6 @@ __all__ = [
     "expansion_br",
     "expansion_lv",
 ]
-
-
-class VertexWord:
-    """The boundary word of a one-vertex ribbon graph.
-
-    tokens is a cyclic sequence of (edge label, end, sign) triples, end
-    being 1 or 2 for the edge's declared half-edges and sign the twist of
-    the edge in the one-vertex graph.  Every edge appears exactly twice.
-    """
-
-    def __init__(self, tokens):
-        self.tokens = tuple(tokens)
-        self._positions = {}
-        for i, (label, _end, _sign) in enumerate(self.tokens):
-            self._positions.setdefault(label, []).append(i)
-        for label, pos in self._positions.items():
-            if len(pos) != 2:
-                raise RibbonError("edge %r appears %d times in the word"
-                                  % (label, len(pos)))
-
-    def __len__(self):
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def sign(self, label):
-        i = self._positions[label][0]
-        return self.tokens[i][2]
-
-    def links(self, e, f):
-        """Whether the occurrences of e and f interleave cyclically."""
-        if e == f:
-            raise ValueError("links needs two distinct edges")
-        p1, p2 = self._positions[e]
-        q1, q2 = self._positions[f]
-        return (p1 < q1 < p2) != (p1 < q2 < p2)
-
-    def __repr__(self):
-        bits = ["%s%s%s" % (l, e, "'" if s < 0 else "") for l, e, s in self.tokens]
-        return "<VertexWord %s>" % " ".join(bits)
 
 
 def quasi_tree_masks(g):
@@ -140,10 +98,12 @@ def _one_walk(g, mask):
 
 def one_vertex_word(g, q):
     """The vertex word of partial_dual(g, Q) for a quasi-tree Q, read off
-    the corner walk of Q without building the partial dual."""
+    the corner walk of Q without building the partial dual: a tuple of
+    (edge label, end, sign) tokens, end being 1 or 2 for the edge's
+    declared half-edges and sign the twist of its loop there."""
     word, signs = _one_walk(g, g._norm_mask(q))
-    return VertexWord((g.edge_labels[h >> 1], 1 + (h & 1), signs[h >> 1])
-                      for h in word)
+    return tuple((g.edge_labels[h >> 1], 1 + (h & 1), signs[h >> 1])
+                 for h in word)
 
 
 class ActivityPartition:
@@ -403,9 +363,7 @@ class ResolutionNode:
 
 
 class ResolutionTree:
-    def __init__(self, graph, order, root, leaves):
-        self.graph = graph
-        self.order = tuple(order)
+    def __init__(self, root, leaves):
         self.root = root
         self.leaves = tuple(leaves)
 
@@ -427,7 +385,6 @@ def resolution_tree(g, order=None):
     admits exactly one quasi-tree completion.  The nodes are the values
     of the descent's fold, so the leaves come in pre-order.
     """
-    lower = _lower_masks(g, order)
     leaves = []
 
     def leaf(ones, zeros, q, *_):
@@ -443,10 +400,8 @@ def resolution_tree(g, order=None):
         node.zero, node.one = zero, one
         return node
 
-    root = _descent(g, lower, leaf, branch)
-    # lower grows along the order
-    order = sorted(g.edge_labels, key=lambda lbl: lower[g._edge_index[lbl]])
-    return ResolutionTree(g, order, root, leaves)
+    root = _descent(g, _lower_masks(g, order), leaf, branch)
+    return ResolutionTree(root, leaves)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,8 @@ random_twisted_graphs() adds twelve pinned connected random graphs with
 disconnected_with_bare_vertex() a graph with three components, one of
 them a vertex without edges.  component_labels_by_search() and
 count_by_search() are the suite's own component labelling and count, a
-breadth-first search independent of the package's union-find.
+breadth-first search independent of the package's union-find, and
+links() reads interleaving off a one-vertex word token by token.
 """
 
 import random
@@ -92,6 +93,16 @@ def component_labels_by_search(g, mask):
 
 def count_by_search(g, mask):
     return max(component_labels_by_search(g, mask), default=-1) + 1
+
+
+def links(word, e, f):
+    """Whether the two occurrences of the edge labels e and f interleave
+    in word, a cyclic sequence of (label, end, sign) tokens."""
+    if e == f:
+        raise ValueError("links needs two distinct edges")
+    p1, p2 = (i for i, token in enumerate(word) if token[0] == e)
+    q1, q2 = (i for i, token in enumerate(word) if token[0] == f)
+    return (p1 < q1 < p2) != (p1 < q2 < p2)
 
 
 def random_twisted_graphs():

@@ -198,16 +198,21 @@ def test_euler_genus_catches_a_lost_boundary_circle(monkeypatch):
     assert status == "FAIL" and detail.startswith("Euler count broken")
 
 
-# qp check output pinned byte for byte: an e = 8 document with twisted
-# edges, an e = 8 document with 6 edges marked, an e = 11 document (above
-# the cap of partial-dual-counts, under that of the other per-subset
-# identities) and an e = 13 document (above every per-subset cap)
+# qp check output pinned byte for byte on both sides of every cap: an e = 8
+# document with twisted edges and one with 6 edges marked (under every
+# cap), an e = 10 document (above the 8-edge cap of matroid-axioms only),
+# an e = 11 and an e = 12 document (above the 10-edge cap of
+# partial-dual-counts and the six polynomial identities, at most the
+# 12-edge cap of the per-subset identities and quasitree-partition) and an
+# e = 13 document (above every cap)
 PINNED_CHECK_DOCS = {
     "e8-twisted": lambda: serialize(random_graph(3, 8, Fraction(3, 10), seed=7)),
     "e8-marked": lambda: serialize(EmbeddedGraph(
         random_graph(3, 8, Fraction(3, 10), seed=11),
         ["e1", "e2", "e4", "e5", "e7", "e8"])),
+    "e10": lambda: serialize(random_graph(4, 10, Fraction(3, 10), seed=7)),
     "e11": lambda: serialize(random_graph(4, 11, Fraction(3, 10), seed=5)),
+    "e12": lambda: serialize(random_graph(4, 12, Fraction(3, 10), seed=6)),
     "e13": lambda: serialize(random_graph(5, 13, Fraction(3, 10), seed=6)),
 }
 
@@ -250,7 +255,45 @@ SKIP krushkal-expansion (the document marks a proper edge subset)
 PASS quasitree-partition
 PASS deletion-contraction
 """,
+    "e10": """\
+PASS euler-genus
+PASS orientable-parity
+PASS dual-involution
+PASS partial-dual-identity
+PASS partial-dual-counts
+PASS partial-dual-composition
+PASS partial-duality-connectivity
+PASS boundary-duality
+PASS surface-complement
+SKIP matroid-axioms (more than 8 edges)
+PASS duality-swap
+PASS tutte-specialization
+PASS br-chain
+PASS lv-chain
+PASS krushkal-expansion
+PASS quasitree-partition
+PASS deletion-contraction
+""",
     "e11": """\
+PASS euler-genus
+PASS orientable-parity
+PASS dual-involution
+PASS partial-dual-identity
+SKIP partial-dual-counts (more than 10 edges)
+PASS partial-dual-composition
+PASS partial-duality-connectivity
+PASS boundary-duality
+PASS surface-complement
+SKIP matroid-axioms (more than 8 edges)
+SKIP duality-swap (more than 10 edges)
+SKIP tutte-specialization (more than 10 edges)
+SKIP br-chain (more than 10 edges)
+SKIP lv-chain (more than 10 edges)
+SKIP krushkal-expansion (more than 10 edges)
+PASS quasitree-partition
+SKIP deletion-contraction (more than 10 edges)
+""",
+    "e12": """\
 PASS euler-genus
 PASS orientable-parity
 PASS dual-involution

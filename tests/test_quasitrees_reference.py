@@ -1,12 +1,12 @@
 """The bitset activities, the interlace descent and the resolution tree
-against reference constructions: pairwise VertexWord.links for liveness,
-the 2^e boundary-walk scan for the quasi-trees, the corner walk of each
-quasi-tree for its interlace rows, a full-width pivot for the pivot
-that rewrites only the unexamined rows, a resolution tree that re-scans
-the whole quasi-tree list at every node, a breadth-first search for the
-classes that the descent carries to each leaf and for the components
-behind each minor key, and an explicit-stack descent with a rollback
-trail for the recursive fold."""
+against reference constructions: pairwise interleaving in the vertex
+word for liveness, the 2^e boundary-walk scan for the quasi-trees, the
+corner walk of each quasi-tree for its interlace rows, a full-width
+pivot for the pivot that rewrites only the unexamined rows, a
+resolution tree that re-scans the whole quasi-tree list at every node,
+a breadth-first search for the classes that the descent carries to
+each leaf and for the components behind each minor key, and an
+explicit-stack descent with a rollback trail for the recursive fold."""
 
 import random
 from fractions import Fraction
@@ -35,6 +35,7 @@ from fixture_graphs import (
     FIXTURES,
     component_labels_by_search,
     count_by_search,
+    links,
     random_twisted_graphs,
 )
 
@@ -43,15 +44,16 @@ def reference_activities(g, order, mask):
     """Live: no lower-ordered edge links the edge in the vertex word of the
     partial dual; orientable: its loop there is untwisted."""
     word = one_vertex_word(g, mask)
+    sign = {label: s for label, _end, s in word}
     rank = {label: i for i, label in enumerate(order)}
     sets = {k: [] for k in ("di", "i_o", "i_n", "de", "e_o", "e_n")}
     for label in g.edge_labels:
-        live = not any(word.links(label, f) for f in g.edge_labels
+        live = not any(links(word, label, f) for f in g.edge_labels
                        if rank[f] < rank[label])
         internal = bool(mask & (1 << g._edge_index[label]))
         if not live:
             sets["di" if internal else "de"].append(label)
-        elif word.sign(label) > 0:
+        elif sign[label] > 0:
             sets["i_o" if internal else "e_o"].append(label)
         else:
             sets["i_n" if internal else "e_n"].append(label)
