@@ -40,10 +40,14 @@ leaves of the descent alone.  At a leaf the resolved-to-1 edges are VI(Q)
 ones I_o u E_o, split by Q.  The descent carries union-finds of the
 1-edges in G and of the 0-edges in the dual, one union per child that
 the call undoes on return, so the leaf callback also knows c(F_VI) and
-c(R_VE), and keys each minor by the end pairs of its I_o (or E_o) edges
-on those live classes.  The Tutte polynomial of a minor is the product
-over its blocks: 1 + Y per loop and 1 + X per bridge in closed form, and
-the subset sweep of invariants.tutte only on the blocks with two or more
+c(R_VE).  Q and E - Q are connected, so both minors are: one with
+|I_o| = c(F_VI) - 1 edges is a tree, keyed by the path of that length,
+and one with c(F_VI) = 1 a bouquet, keyed by that many loops (likewise
+|E_o| and c(R_VE) in the dual).  Only the other minors are relabelled,
+keyed by the end pairs of their I_o (or E_o) edges on the live
+classes.  The Tutte polynomial of a minor is the product over its
+blocks: 1 + Y per loop and 1 + X per bridge in closed form, and the
+subset sweep of invariants.tutte only on the blocks with two or more
 edges, once per distinct block.  Minor polynomials stay {(i, j): coefficient} dicts;
 the terms sharing an outer minor and a B shift are summed before one
 multiplication by the outer polynomial.
@@ -550,19 +554,39 @@ def expansion_krushkal(emb, order=None):
     # a term depends only on the two minors and the two shifts, so count
     # the quasi-trees per distinct term
     tally = {}
+    # the keys of a k-edge tree (a path: every tree on k edges has T = X^k)
+    # and of a bouquet of k loops, which is what _end_pairs gives for it
+    sizes = range(len(g.edges) + 1)
+    paths = [tuple((i, i + 1) for i in range(k)) for k in sizes]
+    bouquets = [((0, 0),) * k for k in sizes]
 
     def leaf(vi, ve, q, c_vi, c_ve, g_parent, d_parent):
         # at a leaf VI = ones, VE = zeros and I_o u E_o is unresolved
         unresolved = full ^ vi ^ ve
         i_o, e_o = unresolved & q, unresolved & ~q
+        k_in, k_out = i_o.bit_count(), e_o.bit_count()
+        # Q and E - Q are connected, so both minors are: a side with one
+        # edge fewer than vertices is a tree, one with one vertex a bouquet,
+        # and only the other sides are relabelled
+        if k_in == c_vi - 1:
+            key_in = paths[k_in]
+        elif c_vi == 1:
+            key_in = bouquets[k_in]
+        else:
+            key_in = _end_pairs(g_parent, g_ends, i_o)
+        if k_out == c_ve - 1:
+            key_out = paths[k_out]
+        elif c_ve == 1:
+            key_out = bouquets[k_out]
+        else:
+            key_out = _end_pairs(d_parent, d_ends, e_o)
         # A^(s/2) and B^(s/2) shift the doubled A and B exponents by s;
         # s = 2c - v + e - bc with c(F_VI) carried by the descent and
         # bc(F_VI) = |I_o| + 1, and in the dual c(R_VE) and bc(R_VE) =
         # |E_o| + 1
-        term = (_end_pairs(g_parent, g_ends, i_o),
-                _end_pairs(d_parent, d_ends, e_o),
-                2 * c_vi - n_g + vi.bit_count() - i_o.bit_count() - 1,
-                2 * c_ve - n_d + ve.bit_count() - e_o.bit_count() - 1)
+        term = (key_in, key_out,
+                2 * c_vi - n_g + vi.bit_count() - k_in - 1,
+                2 * c_ve - n_d + ve.bit_count() - k_out - 1)
         tally[term] = tally.get(term, 0) + 1
 
     _descent(g, _lower_masks(g, order), leaf, d=d)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from qpoly.cli import main
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 from qpoly.textio import parse, random_graph, serialize
 
-from fixture_graphs import FIXTURES, t1
+from fixture_graphs import FIXTURES, random_twisted_graphs, t1
 
 M1_DOC = "vertex v: a1 a2\nedge e1: a1 a2 -\n"
 T1_DOC = "vertex v: a1 b1 a2 b2\nedge ea: a1 a2 +\nedge eb: b1 b2 +\n"
@@ -558,10 +559,55 @@ def test_compute_brute_bytes(tmp_path, capsys, doc, poly):
     assert got == BRUTE_BYTES[doc, poly]
 
 
+DISCONNECTED_MARKED_DOC = (
+    "vertex u: a1 a2 c1\nvertex w: b1 b2 c2\n"
+    "edge e1: a1 a2 +\nedge e2: b1 b2 +\nedge e3: c1 c2 +\n"
+    "marked: e1 e2\n"
+)
+
+
 def test_quasitrees_disconnected_rejected(tmp_path, capsys):
-    path = write_doc(tmp_path, DISCONNECTED_DOC)
-    code, _, err = run_cli(capsys, "quasitrees", "-i", path)
-    assert code == 2 and err != ""
+    """A disconnected document, or a disconnected marked subgraph of a
+    connected one, exits 2 with one qp: line."""
+    for i, doc in enumerate([DISCONNECTED_DOC, DISCONNECTED_MARKED_DOC]):
+        path = write_doc(tmp_path, doc, "g%d.txt" % i)
+        assert run_cli(capsys, "quasitrees", "-i", path) == (
+            2, "", "qp: quasi-trees are defined for connected graphs\n")
+
+
+def scan_listing(doc):
+    """The qp quasitrees listing of doc built from the 2^e subset scan:
+    every quasi-tree of the marked subgraph, ascending, with activities
+    under the document order restricted to it."""
+    emb, order = parse(doc)
+    g = emb.ribbon_subgraph()
+    sub_order = [lbl for lbl in order if lbl in g.edge_labels]
+    out = ""
+    for q in quasitrees_mod.quasi_tree_masks(g):
+        classes = quasitrees_mod.activities(g, sub_order, q).as_dict()
+        out += " ".join(
+            ["Q={%s}" % ",".join(g.mask_labels(q))]
+            + ["%s={%s}" % (key, ",".join(
+                lbl for lbl in g.edge_labels if lbl in val))
+               for key, val in classes.items()]) + "\n"
+    return out
+
+
+def test_quasitrees_lists_the_scan(tmp_path, capsys):
+    """qp quasitrees lists the leaves of the descent; the listing equals
+    the one read off the subset scan, byte for byte, on a marked document
+    and on the fixtures and random graphs under two shuffled orders."""
+    rng = random.Random(23)
+    docs = [TWISTED_MARKED_DOC]
+    for g in [make() for make in FIXTURES.values()] + random_twisted_graphs():
+        for _ in range(2):
+            order = list(g.edge_labels)
+            rng.shuffle(order)
+            docs.append(serialize(EmbeddedGraph(g), order))
+    for i, doc in enumerate(docs):
+        path = write_doc(tmp_path, doc, "g%d.txt" % i)
+        assert run_cli(capsys, "quasitrees", "-i", path) == (
+            0, scan_listing(doc), ""), doc
 
 
 def test_dual_m1_self_dual(tmp_path, capsys):

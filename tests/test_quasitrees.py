@@ -457,20 +457,91 @@ def test_block_product_is_tutte_property(pairs):
 
 def test_block_product_is_tutte_on_every_minor_key():
     """Every key the expansion tallies on the fixtures and the pinned
-    random graphs, on both sides, with one memo across them all."""
+    random graphs, on both sides, with one memo across them all.  Where a
+    side is a tree (one edge fewer than vertices) or a bouquet (one
+    vertex), the count key the expansion uses instead has the same Tutte
+    polynomial as the relabelled end pairs."""
     memo, seen = {}, set()
+    shapes = {"tree": 0, "bouquet": 0, "other": 0}
+
+    def side(parent, ends, edges, c):
+        key = _end_pairs(parent, ends, edges)
+        seen.add(key)
+        k = edges.bit_count()
+        if k == c - 1:
+            shapes["tree"] += 1
+            path = tuple((i, i + 1) for i in range(k))
+            assert _minor_tutte(path, memo) == _minor_tutte(key, memo), key
+        elif c == 1:
+            shapes["bouquet"] += 1
+            assert ((0, 0),) * k == key
+        else:
+            shapes["other"] += 1
+
     for g in [make() for make in CONNECTED.values()] + random_twisted_graphs():
         d = EmbeddedGraph(g).dual_cellulation
 
         def leaf(ones, zeros, q, c_g, c_d, g_parent, d_parent):
             unresolved = g.full_mask ^ ones ^ zeros
-            seen.add(_end_pairs(g_parent, g._ends, unresolved & q))
-            seen.add(_end_pairs(d_parent, d._ends, unresolved & ~q))
+            side(g_parent, g._ends, unresolved & q, c_g)
+            side(d_parent, d._ends, unresolved & ~q, c_d)
 
         _descent(g, _lower_masks(g, None), leaf, d=d)
+    assert all(shapes.values()), shapes
     assert any(_blocks(key)[2] for key in seen)
     for key in seen:
         assert as_poly(_minor_tutte(key, memo)) == tutte_of_pairs(key), key
+
+
+def count_end_pairs_calls(monkeypatch):
+    calls = []
+
+    def counted(parent, ends, edges):
+        calls.append(edges)
+        return _end_pairs(parent, ends, edges)
+
+    monkeypatch.setattr(qpoly.quasitrees, "_end_pairs", counted)
+    return calls
+
+
+def plane_cycle(n):
+    """A plane cycle with n edges e0..e(n-1)."""
+    return RibbonGraph(
+        [("v%d" % i, ("h%db" % ((i - 1) % n), "h%da" % i)) for i in range(n)],
+        [("e%d" % i, ("h%da" % i, "h%db" % i), "+") for i in range(n)])
+
+
+def plane_bouquet(n):
+    """One vertex with n untwisted loops, no two interlaced: a plane
+    bouquet, whose dual is a star."""
+    halves = [h for i in range(n) for h in ("h%da" % i, "h%db" % i)]
+    return RibbonGraph([("v", tuple(halves))],
+                       [("e%d" % i, ("h%da" % i, "h%db" % i), "+")
+                        for i in range(n)])
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: path(60), lambda g: (1 + X) ** 60),
+    (lambda: plane_cycle(9), lambda g: krushkal(EmbeddedGraph(g))),
+    (lambda: plane_bouquet(9), lambda g: krushkal(EmbeddedGraph(g))),
+], ids=["path", "cycle", "bouquet"])
+def test_plane_expansion_never_relabels(make, want, monkeypatch):
+    """On a plane graph every quasi-tree is a spanning tree, so both minors
+    of every leaf are trees and are keyed by their edge count alone."""
+    g = make()
+    assert g.genus_s() == 0
+    calls = count_end_pairs_calls(monkeypatch)
+    assert expansion_krushkal(g) == want(g)
+    assert calls == []
+
+
+def test_twisted_expansion_still_relabels(monkeypatch):
+    """A twisted draw has leaves whose minor is neither a tree nor a
+    bouquet, and those sides still go through _end_pairs."""
+    g = random_graph(3, 8, "3/10", seed=1)
+    calls = count_end_pairs_calls(monkeypatch)
+    assert expansion_krushkal(g) == krushkal(EmbeddedGraph(g))
+    assert calls
 
 
 def count_tutte_calls(monkeypatch):
