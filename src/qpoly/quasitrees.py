@@ -45,12 +45,13 @@ c(R_VE).  Q and E - Q are connected, so both minors are: one with
 and one with c(F_VI) = 1 a bouquet, keyed by that many loops (likewise
 |E_o| and c(R_VE) in the dual).  Only the other minors are relabelled,
 keyed by the end pairs of their I_o (or E_o) edges on the live
-classes.  The Tutte polynomial of a minor is the product over its
-blocks: 1 + Y per loop and 1 + X per bridge in closed form, and the
-subset sweep of invariants.tutte only on the blocks with two or more
-edges, once per distinct block.  Minor polynomials stay {(i, j): coefficient} dicts;
-the terms sharing an outer minor and a B shift are summed before one
-multiplication by the outer polynomial.
+classes.  The Tutte polynomial of a minor is 1 + Y per loop and 1 + X
+per bridge in closed form, a bridge being an edge whose ends the
+union-find of the other non-loop edges leaves apart, times the subset
+sweep of invariants.tutte on the core of the remaining edges, which has
+no loop or bridge, once per distinct core.  Minor polynomials stay
+{(i, j): coefficient} dicts; the terms sharing an outer minor and a B
+shift are summed before one multiplication by the outer polynomial.
 The Bollobas-Riordan and Las Vergnas expansions are its images under the
 specialization maps of invariants, so there is one per-quasi-tree sum;
 all of them must agree with the subset-sum oracles in invariants
@@ -438,100 +439,58 @@ def _end_pairs(parent, ends, edges):
     return tuple(pairs)
 
 
-def _blocks(pairs):
-    """(loops, bridges, other blocks) of the multigraph with these end
-    pairs on the vertices 0..n-1: the counts of its one-edge blocks, and
-    the end pairs of each block with two or more edges, in edge order and
-    relabelled by first appearance.
+def _split(pairs):
+    """(loops, bridges, core) of the multigraph with these end pairs on the
+    vertices 0..n-1: the counts of its loops and of its bridges, and the
+    end pairs of its other edges, in edge order and relabelled by first
+    appearance.  The core has no loop or bridge, but it may be empty or
+    disconnected.
 
-    One iterative Tarjan pass with an edge stack: a vertex remembers the
-    edge it was reached by rather than its parent, so a parallel edge back
-    to the parent is a back edge, and a child v whose subtree has no back
-    edge to above its parent u (low[v] >= disc[u]) closes the block of the
-    edges stacked since the edge u-v.  Loops are blocks of their own and
-    never enter the pass.
+    A non-loop edge is a bridge when a union-find of the other non-loop
+    edges leaves its two ends in different classes.
     """
-    n = 1 + max(map(max, pairs), default=-1)
-    adj = [[] for _ in range(n)]
-    loops = 0
-    for i, (a, b) in enumerate(pairs):
-        if a == b:
-            loops += 1
-        else:
-            adj[a].append((b, i))
-            adj[b].append((a, i))
-    disc, low = [0] * n, [0] * n
-    edges, bridges, blocks = [], 0, []
-    time = 0
-    for root in range(n):
-        if disc[root]:
-            continue
-        time += 1
-        disc[root] = low[root] = time
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, via, it = stack[-1]
-            for w, i in it:
-                if not disc[w]:
-                    time += 1
-                    disc[w] = low[w] = time
-                    edges.append(i)
-                    stack.append((w, i, iter(adj[w])))
-                    break
-                if i != via and disc[w] < disc[v]:
-                    edges.append(i)
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            else:
-                stack.pop()
-                if not stack:
-                    continue
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] < disc[u]:
-                    continue
-                # each edge is stacked once, so the block starts at via
-                k = edges.index(via)
-                block = sorted(edges[k:])
-                del edges[k:]
-                if len(block) == 1:
-                    bridges += 1
-                    continue
-                label = {}
-                blocks.append(tuple(
-                    (label.setdefault(pairs[i][0], len(label)),
-                     label.setdefault(pairs[i][1], len(label)))
-                    for i in block))
-    return loops, bridges, blocks
+    edges = [p for p in pairs if p[0] != p[1]]
+    n = 1 + max(map(max, edges), default=-1)
+    core = []
+    for i, p in enumerate(edges):
+        parent = list(range(n))
+        for other in edges[:i] + edges[i + 1:]:
+            _join(parent, other)
+        if _join(parent, p) < 0:
+            core.append(p)
+    label = {}
+    core = tuple((label.setdefault(a, len(label)),
+                  label.setdefault(b, len(label))) for a, b in core)
+    return len(pairs) - len(edges), len(edges) - len(core), core
 
 
 def _minor_tutte(pairs, memo):
     """{(i, j): coefficient of X^i Y^j} of the Tutte polynomial of the
-    minor with these end pairs.  It is the product over the minor's blocks:
-    (1 + Y) per loop and (1 + X) per bridge, taken together from two
-    binomial rows, and the subset sweep of tutte on every larger block,
-    memoized in memo on the block's relabelled pairs."""
-    loops, bridges, blocks = _blocks(pairs)
+    minor with these end pairs.  It is multiplicative over the loops, the
+    bridges and the core, so it is (1 + Y) per loop and (1 + X) per
+    bridge, taken together from two binomial rows, times the subset sweep
+    of tutte on the core, memoized in memo on the core's relabelled
+    pairs."""
+    loops, bridges, core = _split(pairs)
     row_x = [comb(bridges, i) for i in range(bridges + 1)]
     row_y = [comb(loops, j) for j in range(loops + 1)]
     poly = {(i, j): cx * cy
             for i, cx in enumerate(row_x) for j, cy in enumerate(row_y)}
-    for block in blocks:
-        factor = memo.get(block)
-        if factor is None:
-            minor = MultiGraph(range(1 + max(map(max, block))),
-                               [(i,) + p for i, p in enumerate(block)])
-            factor = memo[block] = {
-                (x >> 1, y >> 1): c
-                for (x, y, _, _, _), c in tutte(minor).items_doubled()}
-        product = {}
-        for (i, j), c in poly.items():
-            for (k, l), d in factor.items():
-                key = (i + k, j + l)
-                product[key] = product.get(key, 0) + c * d
-        poly = product
-    return poly
+    if not core:
+        return poly
+    factor = memo.get(core)
+    if factor is None:
+        minor = MultiGraph(range(1 + max(map(max, core))),
+                           [(i,) + p for i, p in enumerate(core)])
+        factor = memo[core] = {
+            (x >> 1, y >> 1): c
+            for (x, y, _, _, _), c in tutte(minor).items_doubled()}
+    product = {}
+    for (i, j), c in poly.items():
+        for (k, l), d in factor.items():
+            key = (i + k, j + l)
+            product[key] = product.get(key, 0) + c * d
+    return product
 
 
 def expansion_krushkal(emb, order=None):
@@ -590,9 +549,9 @@ def expansion_krushkal(emb, order=None):
         tally[term] = tally.get(term, 0) + 1
 
     _descent(g, _lower_masks(g, order), leaf, d=d)
-    # T(X, Y) of every distinct minor, both sides sharing one block memo
-    blocks = {}
-    minors = {key: _minor_tutte(key, blocks)
+    # T(X, Y) of every distinct minor, both sides sharing one core memo
+    cores = {}
+    minors = {key: _minor_tutte(key, cores)
               for key in {key for term in tally for key in term[:2]}}
     # sum n T_in(X, A) A^(s_vi/2) over the terms of one (outer minor, B
     # shift) group, as {(X, doubled A): coefficient}, then multiply each

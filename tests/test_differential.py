@@ -7,15 +7,21 @@ both are defined, every document must survive serialize -> parse, and
 the identity battery must report no FAIL on it.  Pinned graphs with 12,
 13 and 14 edges on one to three vertices, under shuffled orders, take
 the comparison past that cap; 14 edges is the shape of the benchmark's
-dense workload.
+dense workload.  Pinned sparse graphs with six to eight vertices do the
+same where many minors of the expansion have both bridges and a core,
+and one graph with 93,560 quasi-trees checks the Krushkal expansion
+alone.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpoly.checks import compute_polynomial, run_checks
+from qpoly.invariants import krushkal
+from qpoly.quasitrees import expansion_krushkal
 from qpoly.ribbon import EmbeddedGraph, RibbonGraph
 from qpoly.textio import parse, random_graph, serialize
 
@@ -90,3 +96,28 @@ def test_brute_equals_quasitree_past_the_cap():
                 for kind in kinds:
                     assert compute_polynomial(emb, order, kind, "quasitree") \
                         == brute[kind], (v, e, order, kind)
+
+
+@pytest.mark.parametrize("v, e, twist, seed", [
+    (7, 15, 0, 2), (6, 16, 0, 1), (8, 14, Fraction(3, 10), 2)])
+def test_brute_equals_quasitree_on_sparse_draws(v, e, twist, seed):
+    """Six to eight vertices, so about half of the distinct minors of the
+    expansion have both bridges and a core, and some cores have edges of
+    two or more blocks."""
+    kinds = ["krushkal", "tutte", "br", "lv"]
+    rng = random.Random(seed)
+    emb = EmbeddedGraph(random_graph(v, e, twist, seed=seed))
+    brute = {kind: compute_polynomial(emb, None, kind, "brute")
+             for kind in kinds}
+    for _ in range(2):
+        order = list(emb.cellulation.edge_labels)
+        rng.shuffle(order)
+        for kind in kinds:
+            assert compute_polynomial(emb, order, kind, "quasitree") \
+                == brute[kind], (order, kind)
+
+
+def test_krushkal_expansion_on_many_quasi_trees():
+    """93,560 quasi-trees on 18 edges."""
+    g = random_graph(5, 18, Fraction(3, 10), seed=7)
+    assert expansion_krushkal(g) == krushkal(EmbeddedGraph(g))

@@ -14,11 +14,11 @@ from qpoly.graphs import MultiGraph
 from qpoly.invariants import bollobas_riordan, krushkal, las_vergnas, tutte
 from qpoly.laurent import LaurentPoly, parse_poly
 from qpoly.quasitrees import (
-    _blocks,
     _descent,
     _end_pairs,
     _lower_masks,
     _minor_tutte,
+    _split,
     activities,
     expansion_br,
     expansion_krushkal,
@@ -384,7 +384,7 @@ def test_expansion_labels_no_classes_once_the_descent_runs(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# minor Tutte polynomials by blocks
+# minor Tutte polynomials by loops, bridges and one core
 
 
 def tutte_of_pairs(pairs):
@@ -401,36 +401,41 @@ TRIANGLE = ((0, 1), (1, 2), (2, 0))
 X, Y = LaurentPoly.variable("X"), LaurentPoly.variable("Y")
 
 
-@pytest.mark.parametrize("pairs, loops, bridges, blocks", [
-    # a bowtie: two triangles sharing the cut vertex 0
+@pytest.mark.parametrize("pairs, loops, bridges, core", [
+    # a bowtie: two triangles sharing the cut vertex 0 are one core
     (((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)), 0, 0,
-     [TRIANGLE, TRIANGLE]),
-    # a theta graph is one block
-    (((0, 1), (0, 1), (0, 1)), 0, 0, [((0, 1), (0, 1), (0, 1))]),
+     ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0))),
+    # two triangles joined by a bridge: one core in two pieces
+    (((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)), 0, 1,
+     ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3))),
+    # a theta graph has no loop or bridge
+    (((0, 1), (0, 1), (0, 1)), 0, 0, ((0, 1), (0, 1), (0, 1))),
     # a path with five edges is five bridges
-    (tuple((i, i + 1) for i in range(5)), 0, 5, []),
+    (tuple((i, i + 1) for i in range(5)), 0, 5, ()),
     # a loop at the cut vertex of a path, and one at an end
-    (((0, 1), (1, 1), (1, 2), (2, 2)), 2, 2, []),
+    (((0, 1), (1, 1), (1, 2), (2, 2)), 2, 2, ()),
     # parallel edges, then a bridge hanging off them
-    (((0, 1), (1, 0), (1, 2)), 0, 1, [((0, 1), (1, 0))]),
+    (((0, 1), (1, 0), (1, 2)), 0, 1, ((0, 1), (1, 0))),
     # disconnected pieces and an isolated vertex 2: a bridge, a digon, a
     # loop and a triangle with a pendant bridge
     (((0, 1), (3, 4), (4, 3), (5, 5), (6, 7), (7, 8), (8, 6), (8, 9)), 1, 2,
-     [((0, 1), (1, 0)), TRIANGLE]),
-    ((), 0, 0, []),
+     ((0, 1), (1, 0), (2, 3), (3, 4), (4, 2))),
+    ((), 0, 0, ()),
 ])
-def test_blocks_of_known_graphs(pairs, loops, bridges, blocks):
-    got_loops, got_bridges, got_blocks = _blocks(pairs)
-    assert (got_loops, got_bridges) == (loops, bridges)
-    assert sorted(got_blocks) == sorted(blocks)
+def test_split_of_known_graphs(pairs, loops, bridges, core):
+    assert _split(pairs) == (loops, bridges, core)
     assert as_poly(_minor_tutte(pairs, {})) == tutte_of_pairs(pairs)
 
 
-def test_blocks_of_a_bowtie_share_one_memo_entry():
+def test_a_triangle_with_and_without_a_bridge_share_one_memo_entry(monkeypatch):
+    calls = count_tutte_calls(monkeypatch)
     memo = {}
-    pairs = ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0))
-    assert as_poly(_minor_tutte(pairs, memo)) == (X ** 2 + 3 * X + 3 + Y) ** 2
+    triangle = X ** 2 + 3 * X + 3 + Y
+    assert as_poly(_minor_tutte(TRIANGLE, memo)) == triangle
+    pendant = ((3, 0), (0, 1), (1, 2), (2, 0))
+    assert as_poly(_minor_tutte(pendant, memo)) == (1 + X) * triangle
     assert list(memo) == [TRIANGLE]
+    assert len(calls) == 1
 
 
 def random_pairs(rng, n, e):
@@ -488,7 +493,7 @@ def test_block_product_is_tutte_on_every_minor_key():
 
         _descent(g, _lower_masks(g, None), leaf, d=d)
     assert all(shapes.values()), shapes
-    assert any(_blocks(key)[2] for key in seen)
+    assert any(_split(key)[2] for key in seen)
     for key in seen:
         assert as_poly(_minor_tutte(key, memo)) == tutte_of_pairs(key), key
 
@@ -556,10 +561,10 @@ def count_tutte_calls(monkeypatch):
 
 
 def test_expansion_keeps_a_tutte_call_on_blocks(monkeypatch):
-    """The minors of this graph have one block with more than one edge, so
-    the expansion reaches qpoly.quasitrees.tutte (the call that the
-    tracer counts as a minor Tutte polynomial); loops and bridges alone
-    never do."""
+    """Some minors of this graph have an edge that is neither a loop nor
+    a bridge, so their core is not empty and the expansion reaches
+    qpoly.quasitrees.tutte (the call that the tracer counts as a minor
+    Tutte polynomial); loops and bridges alone never do."""
     calls = count_tutte_calls(monkeypatch)
     expansion_krushkal(random_graph(2, 7, "3/10", seed=3))
     assert len(calls) >= 1
