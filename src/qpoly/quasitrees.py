@@ -18,7 +18,7 @@ word (A[e][f] = 1 when e and f link, A[e][e] = 1 when e's loop is
 twisted) is kept as int bitset rows, and the quasi-trees are Q xor X for
 the sets X with A_Q[X] nonsingular over GF(2) (Bouchet's delta-matroid of
 the map).  The expansions and the resolution tree come from one descent
-of that tree, a recursive fold shaped like ribbon._sweep: it starts at a
+of that tree, a recursive walk shaped like ribbon._sweep: it starts at a
 spanning tree, reads its rows off the corner walk once, and reaches each
 other quasi-tree by a principal pivot transform of the rows on one or
 two edges, once per branching node, so it costs about the number of
@@ -26,9 +26,8 @@ quasi-trees and never scans the 2^e subsets.  Below a node only the rows
 of the edges not yet examined are ever read, and the pivot of A on X
 restricted to a principal submatrix on F containing X is the pivot of
 A[F] on X (Tsatsomeros 2000), so a pivot rewrites only those rows.  A
-callback takes each leaf, and resolution_tree folds the branching nodes
-too.  Liveness is one AND of a row with the mask of the lower edges,
-orientability the diagonal bit.
+callback takes each leaf, and no node is built.  Liveness is one AND of
+a row with the mask of the lower edges, orientability the diagonal bit.
 quasi_tree_masks, the subsets with bc = 1 read off the 2^e subset sweep
 of the brute-force sums, stays the independent oracle of the descent.
 ActivityPartition is the label view of the class masks, and
@@ -258,17 +257,14 @@ def _pivot(rows, e, free):
     return x, rows
 
 
-def _descent(g, lower, leaf, branch=None, d=None):
-    """Fold the resolution tree of g under the order given by lower, depth
-    first with the 0-child first, and return the root's value.  A leaf's
-    value is leaf(ones, zeros, Q, c_g, c_d, g_parent, d_parent); a node
-    branching on edge index ei has the value branch(zero, one, ei, ones,
-    zeros, Q, rows, c_g, c_d) of its children's values zero and one, or
-    None without branch.  Q is a quasi-tree completing the node's
-    resolution (the one, at a leaf) and rows the interlace rows of Q's
-    vertex word, exact on the edges lower[ei] | 1 << ei not yet examined;
-    the rows of examined edges are stale.  The leaves are reached in
-    pre-order.
+def _descent(g, lower, leaf, d=None):
+    """Walk the resolution tree of g under the order given by lower, depth
+    first with the 0-child first, calling leaf(ones, zeros, Q, c_g, c_d,
+    g_parent, d_parent) at each leaf in pre-order, Q being the quasi-tree
+    completing the leaf's resolution.  Each node carries a quasi-tree Q
+    completing its resolution and the interlace rows of Q's vertex word;
+    where it branches on edge index ei they are exact on the edges
+    lower[ei] | 1 << ei not yet examined and stale on the examined ones.
 
     The quasi-trees completing a node are Q xor X for the sets X of edges
     not yet examined with A_Q[X] nonsingular over GF(2) (Bouchet), so the
@@ -307,7 +303,8 @@ def _descent(g, lower, leaf, branch=None, d=None):
                 break
             j += 1
         else:
-            return leaf(ones, zeros, q, c_g, c_d, g_parent, d_parent)
+            leaf(ones, zeros, q, c_g, c_d, g_parent, d_parent)
+            return
         bit = 1 << ei
         x, flipped = _pivot(rows, ei, free)
         if q & bit:
@@ -315,22 +312,20 @@ def _descent(g, lower, leaf, branch=None, d=None):
         else:
             zero_q, zero_rows, one_q, one_rows = q, rows, q ^ x, flipped
         r = -1 if d_parent is None else _join(d_parent, d_ends[ei])
-        zero = visit(j + 1, ones, zeros | bit, zero_q, zero_rows,
-                     c_g, c_d - (r >= 0))
+        visit(j + 1, ones, zeros | bit, zero_q, zero_rows,
+              c_g, c_d - (r >= 0))
         if r >= 0:
             d_parent[r] = r
         r = -1 if g_parent is None else _join(g_parent, g_ends[ei])
-        one = visit(j + 1, ones | bit, zeros, one_q, one_rows,
-                    c_g - (r >= 0), c_d)
+        visit(j + 1, ones | bit, zeros, one_q, one_rows,
+              c_g - (r >= 0), c_d)
         if r >= 0:
             g_parent[r] = r
-        if branch is not None:
-            return branch(zero, one, ei, ones, zeros, q, rows, c_g, c_d)
 
     # a spanning tree's ribbon neighbourhood is a disc, so it is a quasi-tree
     q = _forest(g, range(len(g.edges)))
-    return visit(0, 0, 0, q, _walk_rows(g, q), g.n_vertices,
-                 0 if d is None else d.n_vertices)
+    visit(0, 0, 0, q, _walk_rows(g, q), g.n_vertices,
+          0 if d is None else d.n_vertices)
 
 
 # ----------------------------------------------------------------------
@@ -338,38 +333,28 @@ def _descent(g, lower, leaf, branch=None, d=None):
 
 
 class ResolutionNode:
-    """A partial resolution rho: E -> {0, 1, *}.
+    """A leaf of the resolution tree: the partial resolution rho: E ->
+    {0, 1, *} that is 1 on the mask ones and 0 on the mask zeros, the
+    mask of the unique quasi-tree completing it, and the labels it leaves
+    unresolved (*)."""
 
-    Interior nodes branch on one edge; leaves carry the unique quasi-tree
-    completing their resolution and the labels left unresolved (*).
-    """
+    __slots__ = ("ones", "zeros", "quasi_tree", "unresolved")
 
-    __slots__ = ("ones", "zeros", "edge", "zero", "one",
-                 "quasi_tree", "unresolved")
-
-    def __init__(self, ones, zeros):
+    def __init__(self, ones, zeros, quasi_tree, unresolved):
         self.ones = ones
         self.zeros = zeros
-        self.edge = None
-        self.zero = None
-        self.one = None
-        self.quasi_tree = None
-        self.unresolved = None
-
-    @property
-    def is_leaf(self):
-        return self.edge is None
+        self.quasi_tree = quasi_tree
+        self.unresolved = unresolved
 
     def __repr__(self):
-        if self.is_leaf:
-            return "<leaf Q=%#x unresolved={%s}>" % (
-                self.quasi_tree, ",".join(sorted(self.unresolved)))
-        return "<node on %s>" % self.edge
+        return "<leaf Q=%#x unresolved={%s}>" % (
+            self.quasi_tree, ",".join(sorted(self.unresolved)))
 
 
 class ResolutionTree:
-    def __init__(self, root, leaves):
-        self.root = root
+    """The leaves of a resolution tree, in pre-order."""
+
+    def __init__(self, leaves):
         self.leaves = tuple(leaves)
 
     @property
@@ -381,32 +366,25 @@ class ResolutionTree:
 
 
 def resolution_tree(g, order=None):
-    """Build the binary resolution tree of (g, order).
+    """The leaves of the binary resolution tree of (g, order).
 
     Edges are examined from the highest order downward.  When both ways
     of deciding the next edge still admit a quasi-tree completion the
     node branches (0-child first); otherwise the edge is nugatory and is
     skipped for good, staying unresolved in every leaf below.  Each leaf
-    admits exactly one quasi-tree completion.  The nodes are the values
-    of the descent's fold, so the leaves come in pre-order.
+    admits exactly one quasi-tree completion.  The leaves come in
+    pre-order, and they fix the tree: a node's resolution is what its
+    leaves share.
     """
     leaves = []
+    full = g.full_mask
 
     def leaf(ones, zeros, q, *_):
-        node = ResolutionNode(ones, zeros)
-        node.quasi_tree = q
-        node.unresolved = frozenset(g.mask_labels(g.full_mask ^ ones ^ zeros))
-        leaves.append(node)
-        return node
+        unresolved = frozenset(g.mask_labels(full ^ ones ^ zeros))
+        leaves.append(ResolutionNode(ones, zeros, q, unresolved))
 
-    def branch(zero, one, ei, ones, zeros, *_):
-        node = ResolutionNode(ones, zeros)
-        node.edge = g.edge_labels[ei]
-        node.zero, node.one = zero, one
-        return node
-
-    root = _descent(g, _lower_masks(g, order), leaf, branch)
-    return ResolutionTree(root, leaves)
+    _descent(g, _lower_masks(g, order), leaf)
+    return ResolutionTree(leaves)
 
 
 # ----------------------------------------------------------------------

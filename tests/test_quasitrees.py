@@ -221,10 +221,16 @@ def test_resolution_tree_live_edges_stay_unresolved():
 
 
 def test_resolution_tree_structure():
-    tree = resolution_tree(th())
-    root = tree.root
-    assert not root.is_leaf
-    assert root.zero is not None and root.one is not None
+    g = th()
+    tree = resolution_tree(g)
+    assert tree.leaf_count > 1
+    # the root branches on the highest edge that a leaf resolves (under
+    # declaration order, the highest index): the first leaf resolves it to
+    # 0 and the last to 1
+    top = max((leaf.ones | leaf.zeros).bit_length() for leaf in tree.leaves)
+    assert g.edge_labels[top - 1] == "e3"
+    assert tree.leaves[0].zeros >> (top - 1) & 1
+    assert tree.leaves[-1].ones >> (top - 1) & 1
     # leaves are reported zero-child first
     assert tree.leaves[0].quasi_tree <= tree.leaves[-1].quasi_tree
 
@@ -342,11 +348,11 @@ def test_expansion_labels_no_classes_once_the_descent_runs(monkeypatch):
 
     descent = qpoly.quasitrees._descent
 
-    def watched_descent(g, lower, leaf, branch=None, d=None):
+    def watched_descent(g, lower, leaf, d=None):
         def watched_leaf(*args):
             leaves.append(started[0])
-            return leaf(*args)
-        return descent(g, lower, watched_leaf, branch, d)
+            leaf(*args)
+        descent(g, lower, watched_leaf, d)
 
     def counted_components(self, mask=None):
         labelled.append((started[0], self))

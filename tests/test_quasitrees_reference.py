@@ -6,13 +6,14 @@ pivot for the pivot that rewrites only the unexamined rows, a
 resolution tree that re-scans the whole quasi-tree list at every node,
 a breadth-first search for the classes that the descent carries to
 each leaf and for the components behind each minor key, and an
-explicit-stack descent with a rollback trail for the recursive fold."""
+explicit-stack descent with a rollback trail for the recursive walk."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+import qpoly.quasitrees
 from qpoly.graphs import _forest, _join
 from qpoly.quasitrees import (
     ActivityPartition,
@@ -61,11 +62,11 @@ def reference_activities(g, order, mask):
 
 
 def reference_tree(g, order):
-    """Pre-order (edge, ones, zeros, leaf Q, unresolved) of the resolution
-    tree, deciding each branch by scanning every quasi-tree."""
+    """Pre-order (ones, zeros, Q, unresolved) of the leaves of the
+    resolution tree, deciding each branch by scanning every quasi-tree."""
     qts = quasi_tree_masks(g)
     desc = [g._edge_index[label] for label in reversed(order)]
-    nodes = []
+    leaves = []
 
     def viable(ones, zeros):
         return any(q & zeros == 0 and q & ones == ones for q in qts)
@@ -74,7 +75,6 @@ def reference_tree(g, order):
         for j in range(idx, len(desc)):
             bit = 1 << desc[j]
             if viable(ones, zeros | bit) and viable(ones | bit, zeros):
-                nodes.append((g.edge_labels[desc[j]], ones, zeros, None, None))
                 build(ones, zeros | bit, j + 1)
                 build(ones | bit, zeros, j + 1)
                 return
@@ -82,17 +82,10 @@ def reference_tree(g, order):
         assert len(done) == 1
         unresolved = frozenset(g.edge_labels[ei] for ei in range(g.n_edges)
                                if not ((ones | zeros) >> ei) & 1)
-        nodes.append((None, ones, zeros, done[0], unresolved))
+        leaves.append((ones, zeros, done[0], unresolved))
 
     build(0, 0, 0)
-    return nodes
-
-
-def preorder(node):
-    out = [(node.edge, node.ones, node.zeros, node.quasi_tree, node.unresolved)]
-    if not node.is_leaf:
-        out += preorder(node.zero) + preorder(node.one)
-    return out
+    return leaves
 
 
 GRAPHS = [(name, make()) for name, make in FIXTURES.items()]
@@ -120,11 +113,10 @@ def test_activities_match_reference(name, g, order):
 
 @pytest.mark.parametrize("name,g,order", CASES, ids=[c[0] for c in CASES])
 def test_resolution_tree_matches_reference(name, g, order):
+    """In pre-order the leaves' resolutions fix the tree."""
     tree = resolution_tree(g, order)
-    nodes = preorder(tree.root)
-    assert nodes == reference_tree(g, order), name
-    assert [leaf.quasi_tree for leaf in tree.leaves] == \
-        [n[3] for n in nodes if n[0] is None]
+    assert [(leaf.ones, leaf.zeros, leaf.quasi_tree, leaf.unresolved)
+            for leaf in tree.leaves] == reference_tree(g, order), name
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[c[0] for c in GRAPHS])
@@ -151,22 +143,18 @@ def exact_rows(rows, mask):
 
 
 @pytest.mark.parametrize("name,g,order", CASES, ids=[c[0] for c in CASES])
-def test_descent_leaves_match_the_scan_and_the_walk(name, g, order):
-    """At every branching node the rows of the edges not yet examined
-    are those of the corner walk of the node's Q; the leaves are the
-    quasi-trees, and the classes of each are read off its walk."""
+def test_descent_leaves_match_the_scan_and_the_walk(name, g, order,
+                                                    monkeypatch):
+    """At every branching node, in pre-order, the pivot gets the
+    reference's rows of the edges not yet examined, which are those of the
+    corner walk of the node's Q; the leaves are the quasi-trees, and the
+    classes of each are read off its walk."""
     lower = _lower_masks(g, order)
-    leaves, branched = [], []
-
-    def branch(zero, one, ei, ones, zeros, q, rows, *_):
-        free = lower[ei] | 1 << ei
-        assert exact_rows(rows, free) == \
-            exact_rows(_walk_rows(g, q), free), (name, ei, q)
-        branched.append(ei)
-
-    _descent(g, lower, lambda ones, zeros, q, *_: leaves.append(q), branch)
+    records, pivots = spied_descent(monkeypatch, g, lower)
+    leaves = [record[2] for record in records]
+    assert pivots == reference_nodes(g, lower)[1], name
     assert sorted(leaves) == quasi_tree_masks(g), name
-    assert len(branched) == len(leaves) - 1, name
+    assert len(pivots) == len(leaves) - 1, name
     for q in leaves:
         classes = _classes(_walk_rows(g, q), lower, q)
         assert ActivityPartition(*map(g.mask_labels, classes)) == \
@@ -176,8 +164,9 @@ def test_descent_leaves_match_the_scan_and_the_walk(name, g, order):
 def test_descent_on_edgeless_and_disconnected_graphs():
     bare = RibbonGraph([("v", ())], [])
     tree = resolution_tree(bare)
-    assert tree.leaf_count == 1 and tree.root.is_leaf
-    assert (tree.root.quasi_tree, tree.root.unresolved) == (0, frozenset())
+    assert tree.leaf_count == 1
+    assert (tree.leaves[0].quasi_tree, tree.leaves[0].unresolved) == \
+        (0, frozenset())
     assert expansion_krushkal(bare) == 1
     disconnected = [
         RibbonGraph([("u", ()), ("w", ())], []),
@@ -422,16 +411,11 @@ def reference_descent(g, lower, d=None):
         stack.append((j + 1, ones, zeros | bit, *zero, c_g, c_d, depth))
 
 
-def node_record(g, lower, d, ei, ones, zeros, q, rows, c_g, c_d,
-                g_parent, d_parent):
-    """What the fold and the reference must agree on at one node: at a
-    branching node the rows of the edges not yet examined, which the fold
-    keeps exact; at a leaf whether the union-finds ride along, and with d
-    the end pairs of I_o in G and of E_o in d, read off the live ones."""
-    record = (ei, ones, zeros, q, c_g, c_d)
-    if ei is not None:
-        return record + (tuple(exact_rows(rows, lower[ei] | 1 << ei)),)
-    record += (g_parent is None, d_parent is None)
+def leaf_record(g, d, ones, zeros, q, c_g, c_d, g_parent, d_parent):
+    """What the descent and the reference must agree on at a leaf: ones,
+    zeros, Q, c_g, c_d, whether the union-finds ride along, and with d the
+    end pairs of I_o in G and of E_o in d, read off the live ones."""
+    record = (ones, zeros, q, c_g, c_d, g_parent is None, d_parent is None)
     if d is None:
         return record
     unresolved = g.full_mask ^ ones ^ zeros
@@ -439,20 +423,39 @@ def node_record(g, lower, d, ei, ones, zeros, q, rows, c_g, c_d,
                      _end_pairs(d_parent, d._ends, unresolved & ~q))
 
 
-def fold_preorder(g, lower, d=None):
-    """The fold's nodes in pre-order, built from its values, and its
-    leaves in the order the leaf callback ran."""
-    called = []
+def reference_nodes(g, lower, d=None):
+    """The leaf records of reference_descent, and (edge index, rows of the
+    edges not yet examined) at its branching nodes, each in pre-order.
+    Those rows must be the corner walk's of the node's Q."""
+    leaves, branches = [], []
+    for ei, ones, zeros, q, rows, *rest in reference_descent(g, lower, d):
+        if ei is None:
+            leaves.append(leaf_record(g, d, ones, zeros, q, *rest))
+            continue
+        free = lower[ei] | 1 << ei
+        assert exact_rows(rows, free) == \
+            exact_rows(_walk_rows(g, q), free), (ei, q)
+        branches.append((ei, exact_rows(rows, free)))
+    return leaves, branches
 
-    def leaf(ones, zeros, q, *args):
-        record = node_record(g, lower, d, None, ones, zeros, q, None, *args)
-        called.append(record)
-        return [record]
 
-    def branch(zero, one, ei, *args):
-        return [node_record(g, lower, d, ei, *args, None, None)] + zero + one
+def spied_descent(monkeypatch, g, lower, d=None):
+    """The descent's leaf records, in the order the leaf callback ran, and
+    (edge index, rows of the edges not yet examined) at each call of a spy
+    on _pivot, which the descent calls once per branching node."""
+    pivot, records, pivots = qpoly.quasitrees._pivot, [], []
 
-    return _descent(g, lower, leaf, branch, d), called
+    def spy(rows, e, free):
+        pivots.append((e, exact_rows(rows, free)))
+        return pivot(rows, e, free)
+
+    def leaf(*args):
+        records.append(leaf_record(g, d, *args))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qpoly.quasitrees, "_pivot", spy)
+        _descent(g, lower, leaf, d)
+    return records, pivots
 
 
 # plane, 3/10 and half twisted draws with up to six vertices and eleven
@@ -479,15 +482,15 @@ FOLD_CASES = list(fold_cases())
 
 @pytest.mark.parametrize("name,g,order", FOLD_CASES,
                          ids=[c[0] for c in FOLD_CASES])
-def test_fold_visits_the_reference_nodes_in_preorder(name, g, order):
-    """Edge, ones, zeros, Q, c_g and c_d at every node, the unexamined
-    rows at every branching node, and the minor end pairs at every leaf,
-    with and without the dual."""
+def test_fold_visits_the_reference_nodes_in_preorder(name, g, order,
+                                                     monkeypatch):
+    """Ones, zeros, Q, c_g and c_d at every leaf, with the minor end pairs
+    when the dual rides along, and the edge and the unexamined rows at
+    every pivot, each in pre-order, with and without the dual."""
     lower = _lower_masks(g, order)
     for d in (None, g.dual()):
-        ref = [node_record(g, lower, d, *node)
-               for node in reference_descent(g, lower, d)]
-        nodes, called = fold_preorder(g, lower, d)
-        assert nodes == ref, name
-        assert called == [node for node in ref if node[0] is None], name
-    assert sum(node[0] is None for node in ref) == len(quasi_tree_masks(g))
+        leaves, branches = reference_nodes(g, lower, d)
+        records, pivots = spied_descent(monkeypatch, g, lower, d)
+        assert records == leaves, name
+        assert pivots == branches, name
+    assert len(leaves) == len(quasi_tree_masks(g))
