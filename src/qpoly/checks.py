@@ -3,9 +3,13 @@
 run_checks() evaluates a battery of named identities on an embedded
 graph: Euler counts, duality, partial duality, the quasi-tree partition,
 and cross-checks of every polynomial against its expansions and
-specializations.  Each identity reports PASS, FAIL, or SKIP; checks
-whose cost blows up with the edge count skip or sample beyond a fixed
-size, always deterministically.  The per-subset identities read c, bc, s
+specializations.  Each identity reports PASS, FAIL, or SKIP.  One table
+gives each identity an edge limit on the cellulation and says whether it
+needs a cellular document; each CHECKS entry, also when called
+directly, skips by its row before the identity runs.  matroid-axioms
+alone keeps its own limit, on the marked edges.  Other identities whose
+cost blows up with the edge count sample beyond a fixed size, always
+deterministically.  The per-subset identities read c, bc, s
 and n off RibbonGraph.subgraph_profile() of G and of G*, each computed
 once per battery by ribbon._sweep, the engine of the brute-force sums.
 partial-duality-connectivity reads c(G - B) and c(G^A - B) for every
@@ -59,9 +63,10 @@ def _component_order(order, comp):
 
 def _quasitree_polynomial(emb, order, kind):
     """Per-component product of the Krushkal expansion, specialized to
-    one polynomial kind.  BR expands the marked subgraph as a cellulation
-    of its own; the other kinds need a cellular embedding."""
-    if kind is not PolyKind.BR and not emb.is_cellular:
+    one polynomial kind.  Tutte and BR depend only on the marked
+    subgraph, which is expanded as a cellulation of its own; Krushkal and
+    LV need a cellular embedding."""
+    if kind in (PolyKind.KRUSHKAL, PolyKind.LV) and not emb.is_cellular:
         raise RibbonError(
             "the quasi-tree route to %s needs a cellular embedding; for the "
             "marked subgraph, feed it as a document of its own" % kind.value)
@@ -139,10 +144,8 @@ def _every_subset(emb, holds, fail, masks=None):
     """Test holds(f, row, co) at each subset F of masks, every subset
     ascending by default, where row is the (c, bc, s, n) profile row of F
     in G and co that of E - F in G*.  FAIL with fail % F's labels at the
-    first F where it is false; SKIP above 12 edges."""
+    first F where it is false."""
     g = emb.cellulation
-    if g.n_edges > 12:
-        return ("SKIP", "more than 12 edges")
     full = g.full_mask
     rows = _once(emb, "profile", g.subgraph_profile)
     co = _once(emb, "dual profile", emb.dual_cellulation.subgraph_profile)
@@ -198,8 +201,6 @@ def _partial_dual_facts(emb, a):
 
 def _check_partial_dual_counts(emb, order):
     g = emb.cellulation
-    if g.n_edges > 10:
-        return ("SKIP", "more than 10 edges")
     full = g.full_mask
     rows = _once(emb, "profile", g.subgraph_profile)
     orient = g.is_orientable()
@@ -251,11 +252,6 @@ def _check_surface_complement(emb, order):
 
 
 def _check_duality_swap(emb, order):
-    if not emb.is_cellular:
-        return ("SKIP", "the document marks a proper edge subset")
-    g = emb.cellulation
-    if g.n_edges > 10:
-        return ("SKIP", "more than 10 edges")
     var = LaurentPoly.variable
     swapped = _brute_krushkal(emb).substitute({
         "X": var("Y"), "Y": var("X"), "A": var("B"), "B": var("A")})
@@ -265,21 +261,17 @@ def _check_duality_swap(emb, order):
 
 
 def _check_tutte_specialization(emb, order):
-    g = emb.cellulation
-    if g.n_edges > 10:
-        return ("SKIP", "more than 10 edges")
     _, _, delta = emb.surface_invariants()
-    lhs = specialize(_brute_krushkal(emb), PolyKind.TUTTE, delta=delta)
-    rhs = tutte(emb.underlying_marked_graph())
-    if lhs != rhs:
+    brute = tutte(emb.underlying_marked_graph())
+    if brute != specialize(_brute_krushkal(emb), PolyKind.TUTTE, delta=delta):
         return ("FAIL", "krushkal does not specialize to the Tutte polynomial")
+    if brute != _quasitree_polynomial(emb, order, PolyKind.TUTTE):
+        return ("FAIL", "quasi-tree expansion disagrees with the Tutte polynomial")
     return ("PASS", "")
 
 
 def _check_br_chain(emb, order):
     g = emb.cellulation
-    if g.n_edges > 10:
-        return ("SKIP", "more than 10 edges")
     brute = bollobas_riordan(emb.ribbon_subgraph())
     if brute != _quasitree_polynomial(emb, order, PolyKind.BR):
         return ("FAIL", "quasi-tree expansion disagrees with Bollobas-Riordan")
@@ -291,11 +283,6 @@ def _check_br_chain(emb, order):
 
 
 def _check_lv_chain(emb, order):
-    if not emb.is_cellular:
-        return ("SKIP", "the document marks a proper edge subset")
-    g = emb.cellulation
-    if g.n_edges > 10:
-        return ("SKIP", "more than 10 edges")
     _, _, delta = emb.surface_invariants()
     brute = las_vergnas(emb)
     if brute != specialize(_brute_krushkal(emb), PolyKind.LV, delta=delta):
@@ -306,11 +293,6 @@ def _check_lv_chain(emb, order):
 
 
 def _check_krushkal_expansion(emb, order):
-    if not emb.is_cellular:
-        return ("SKIP", "the document marks a proper edge subset")
-    g = emb.cellulation
-    if g.n_edges > 10:
-        return ("SKIP", "more than 10 edges")
     brute = _brute_krushkal(emb)
     if brute != _quasitree_polynomial(emb, order, PolyKind.KRUSHKAL):
         return ("FAIL", "quasi-tree expansion disagrees with krushkal")
@@ -318,8 +300,6 @@ def _check_krushkal_expansion(emb, order):
 
 
 def _check_quasitree_partition(emb, order):
-    if emb.cellulation.n_edges > 12:
-        return ("SKIP", "more than 12 edges")
     for comp in emb.ribbon_subgraph().split_components():
         sub_order = _component_order(order, comp)
         tree = resolution_tree(comp, sub_order)
@@ -395,8 +375,6 @@ def _check_matroid_axioms(emb, order):
 
 def _check_deletion_contraction(emb, order):
     g = emb.cellulation
-    if g.n_edges > 10:
-        return ("SKIP", "more than 10 edges")
     base = _brute_krushkal(emb)
     one_x = 1 + LaurentPoly.variable("X")
     one_y = 1 + LaurentPoly.variable("Y")
@@ -421,25 +399,44 @@ def _check_deletion_contraction(emb, order):
     return ("PASS", "")
 
 
-CHECKS = (
-    ("euler-genus", _check_euler_genus),
-    ("orientable-parity", _check_orientable_parity),
-    ("dual-involution", _check_dual_involution),
-    ("partial-dual-identity", _check_partial_dual_identity),
-    ("partial-dual-counts", _check_partial_dual_counts),
-    ("partial-dual-composition", _check_partial_dual_composition),
-    ("partial-duality-connectivity", _check_partial_duality_connectivity),
-    ("boundary-duality", _check_boundary_duality),
-    ("surface-complement", _check_surface_complement),
-    ("matroid-axioms", _check_matroid_axioms),
-    ("duality-swap", _check_duality_swap),
-    ("tutte-specialization", _check_tutte_specialization),
-    ("br-chain", _check_br_chain),
-    ("lv-chain", _check_lv_chain),
-    ("krushkal-expansion", _check_krushkal_expansion),
-    ("quasitree-partition", _check_quasitree_partition),
-    ("deletion-contraction", _check_deletion_contraction),
+def _limited(identity, limit, cellular):
+    """identity, skipped before it runs on a document that marks a proper
+    edge subset when cellular is set, then on a cellulation of more than
+    limit edges when limit is not None."""
+    def check(emb, order):
+        if cellular and not emb.is_cellular:
+            return ("SKIP", "the document marks a proper edge subset")
+        if limit is not None and emb.cellulation.n_edges > limit:
+            return ("SKIP", "more than %d edges" % limit)
+        return identity(emb, order)
+    return check
+
+
+# (name, identity, edge limit, needs a cellular document): which identity
+# runs at which size, in one place
+_TABLE = (
+    ("euler-genus", _check_euler_genus, 12, False),
+    ("orientable-parity", _check_orientable_parity, 12, False),
+    ("dual-involution", _check_dual_involution, None, False),
+    ("partial-dual-identity", _check_partial_dual_identity, None, False),
+    ("partial-dual-counts", _check_partial_dual_counts, 10, False),
+    ("partial-dual-composition", _check_partial_dual_composition, None, False),
+    ("partial-duality-connectivity", _check_partial_duality_connectivity,
+     None, False),
+    ("boundary-duality", _check_boundary_duality, 12, False),
+    ("surface-complement", _check_surface_complement, 12, False),
+    ("matroid-axioms", _check_matroid_axioms, None, False),
+    ("duality-swap", _check_duality_swap, 10, True),
+    ("tutte-specialization", _check_tutte_specialization, 10, False),
+    ("br-chain", _check_br_chain, 10, False),
+    ("lv-chain", _check_lv_chain, 10, True),
+    ("krushkal-expansion", _check_krushkal_expansion, 10, True),
+    ("quasitree-partition", _check_quasitree_partition, 12, False),
+    ("deletion-contraction", _check_deletion_contraction, 10, False),
 )
+
+CHECKS = tuple((name, _limited(identity, limit, cellular))
+               for name, identity, limit, cellular in _TABLE)
 
 
 def run_checks(emb, order):

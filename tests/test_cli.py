@@ -79,6 +79,14 @@ def test_compute_quasitree_krushkal_needs_cellulation(tmp_path, capsys):
     assert code == 2 and "cellular" in err
 
 
+def test_compute_quasitree_lv_needs_cellulation(tmp_path, capsys):
+    path = write_doc(tmp_path, T1_DOC + "marked: ea\n")
+    assert run_cli(capsys, "compute", "-i", path, "-p", "lv",
+                   "-m", "quasitree") == (
+        2, "", "qp: the quasi-tree route to lv needs a cellular embedding; "
+        "for the marked subgraph, feed it as a document of its own\n")
+
+
 def test_compute_quasitree_br_ignores_cellularity(tmp_path, capsys):
     path = write_doc(tmp_path, T1_DOC + "marked: ea\n")
     code_b, out_b, _ = run_cli(capsys, "compute", "-i", path,
@@ -205,7 +213,11 @@ def test_euler_genus_catches_a_lost_boundary_circle(monkeypatch):
 # an e = 11 and an e = 12 document (above the 10-edge cap of
 # partial-dual-counts and the six polynomial identities, at most the
 # 12-edge cap of the per-subset identities and quasitree-partition) and an
-# e = 13 document (above every cap)
+# e = 13 document (above every cap).  Two marked documents pin the order of
+# the skip rules: at e = 11 with 9 edges marked, the three identities that
+# need a cellular document skip for the marking before the edge count,
+# and matroid-axioms skips at 9 marked edges; at e = 10 with 7 edges
+# marked, matroid-axioms counts the marked edges and runs
 PINNED_CHECK_DOCS = {
     "e8-twisted": lambda: serialize(random_graph(3, 8, Fraction(3, 10), seed=7)),
     "e8-marked": lambda: serialize(EmbeddedGraph(
@@ -215,6 +227,12 @@ PINNED_CHECK_DOCS = {
     "e11": lambda: serialize(random_graph(4, 11, Fraction(3, 10), seed=5)),
     "e12": lambda: serialize(random_graph(4, 12, Fraction(3, 10), seed=6)),
     "e13": lambda: serialize(random_graph(5, 13, Fraction(3, 10), seed=6)),
+    "e11-marked": lambda: serialize(EmbeddedGraph(
+        random_graph(4, 11, Fraction(3, 10), seed=5),
+        ["e%d" % i for i in range(1, 10)])),
+    "e10-marked": lambda: serialize(EmbeddedGraph(
+        random_graph(4, 10, Fraction(3, 10), seed=7),
+        ["e%d" % i for i in range(1, 8)])),
 }
 
 PINNED_CHECK_OUTPUT = {
@@ -332,6 +350,44 @@ SKIP krushkal-expansion (more than 10 edges)
 SKIP quasitree-partition (more than 12 edges)
 SKIP deletion-contraction (more than 10 edges)
 """,
+    "e11-marked": """\
+PASS euler-genus
+PASS orientable-parity
+PASS dual-involution
+PASS partial-dual-identity
+SKIP partial-dual-counts (more than 10 edges)
+PASS partial-dual-composition
+PASS partial-duality-connectivity
+PASS boundary-duality
+PASS surface-complement
+SKIP matroid-axioms (more than 8 edges)
+SKIP duality-swap (the document marks a proper edge subset)
+SKIP tutte-specialization (more than 10 edges)
+SKIP br-chain (more than 10 edges)
+SKIP lv-chain (the document marks a proper edge subset)
+SKIP krushkal-expansion (the document marks a proper edge subset)
+PASS quasitree-partition
+SKIP deletion-contraction (more than 10 edges)
+""",
+    "e10-marked": """\
+PASS euler-genus
+PASS orientable-parity
+PASS dual-involution
+PASS partial-dual-identity
+PASS partial-dual-counts
+PASS partial-dual-composition
+PASS partial-duality-connectivity
+PASS boundary-duality
+PASS surface-complement
+PASS matroid-axioms
+SKIP duality-swap (the document marks a proper edge subset)
+PASS tutte-specialization
+PASS br-chain
+SKIP lv-chain (the document marks a proper edge subset)
+SKIP krushkal-expansion (the document marks a proper edge subset)
+PASS quasitree-partition
+PASS deletion-contraction
+""",
 }
 
 
@@ -341,6 +397,20 @@ def test_check_stdout_is_pinned(tmp_path, capsys, name):
     code, out, err = run_cli(capsys, "check", "-i", path)
     assert (code, err) == (0, "")
     assert out == PINNED_CHECK_OUTPUT[name]
+
+
+def test_check_entry_skips_before_the_identity_runs(monkeypatch):
+    # an entry called directly, outside run_checks, skips by its limit
+    # before any brute sum or expansion starts
+    def rigged(*args):
+        raise AssertionError("exponential work started")
+
+    for name in ("krushkal", "bollobas_riordan", "expansion_krushkal"):
+        monkeypatch.setattr(checks_mod, name, rigged)
+    emb = EmbeddedGraph(random_graph(4, 11, Fraction(3, 10), seed=5))
+    br_chain = dict(checks_mod.CHECKS)["br-chain"]
+    assert br_chain(emb, emb.cellulation.edge_labels) == (
+        "SKIP", "more than 10 edges")
 
 
 KRUSHKAL_IDENTITIES = ("duality-swap", "tutte-specialization", "br-chain",
@@ -406,7 +476,8 @@ def test_check_reports_raising_krushkal_in_each_identity(monkeypatch):
             assert status != "FAIL", name
 
 
-EXPANSION_IDENTITIES = ("br-chain", "lv-chain", "krushkal-expansion")
+EXPANSION_IDENTITIES = ("tutte-specialization", "br-chain", "lv-chain",
+                        "krushkal-expansion")
 
 
 def test_check_expands_once_per_battery(monkeypatch):
@@ -557,6 +628,16 @@ def test_compute_brute_bytes(tmp_path, capsys, doc, poly):
     path = write_doc(tmp_path, doc)
     got = run_cli(capsys, "compute", "-i", path, "-p", poly, "-m", "brute")
     assert got == BRUTE_BYTES[doc, poly]
+
+
+@pytest.mark.parametrize("doc", [TWISTED_MARKED_DOC, BARE_VERTEX_DOC])
+def test_compute_quasitree_tutte_bytes(tmp_path, capsys, doc):
+    # the Tutte polynomial reads the marked subgraph only, so the
+    # quasi-tree route takes a marked document, and a bare vertex
+    path = write_doc(tmp_path, doc)
+    got = run_cli(capsys, "compute", "-i", path, "-p", "tutte",
+                  "-m", "quasitree")
+    assert got == BRUTE_BYTES[doc, "tutte"]
 
 
 DISCONNECTED_MARKED_DOC = (
