@@ -310,7 +310,7 @@ def _check_quasitree_partition(emb, order):
             ap = activities(comp, sub_order, leaf.quasi_tree)
             if leaf.unresolved != ap.i_o | ap.e_o:
                 return ("FAIL", "unresolved edges are not I_o union E_o")
-            covered += 1 << len(leaf.unresolved)
+            covered += 1 << leaf.unresolved_mask.bit_count()
         if covered != 1 << comp.n_edges:
             return ("FAIL", "leaf cubes do not partition the subset lattice")
     return ("PASS", "")

@@ -20,8 +20,11 @@ def _join(parent, ends):
     already.
 
     Roots are linked without path compression, so resetting the moved
-    root (parent[r] = r) undoes the union; the subset sweep of the
-    brute-force sums rolls its unions back that way.
+    root (parent[r] = r) undoes the union; the quasi-tree descent rolls
+    its unions back that way.  The subset sweep of the brute-force sums
+    (ribbon._sweep) runs the same finds and links inline in each step,
+    saving a call per decided edge, and calls this only for the unmarked
+    edges it joins before it starts.
     """
     a, b = ends
     while parent[a] != a:

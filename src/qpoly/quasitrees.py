@@ -64,7 +64,7 @@ from math import comb
 from .graphs import MultiGraph, _forest, _join
 from .invariants import PolyKind, specialize, tutte
 from .laurent import LaurentPoly
-from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _sweep
+from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _iter_bits, _sweep
 
 __all__ = [
     "ActivityPartition",
@@ -335,16 +335,23 @@ def _descent(g, lower, leaf, d=None):
 class ResolutionNode:
     """A leaf of the resolution tree: the partial resolution rho: E ->
     {0, 1, *} that is 1 on the mask ones and 0 on the mask zeros, the
-    mask of the unique quasi-tree completing it, and the labels it leaves
-    unresolved (*)."""
+    mask of the unique quasi-tree completing it, and the mask of the edges
+    it leaves unresolved (*), whose labels unresolved gives."""
 
-    __slots__ = ("ones", "zeros", "quasi_tree", "unresolved")
+    __slots__ = ("ones", "zeros", "quasi_tree", "unresolved_mask", "_labels")
 
-    def __init__(self, ones, zeros, quasi_tree, unresolved):
+    def __init__(self, ones, zeros, quasi_tree, unresolved_mask, labels):
         self.ones = ones
         self.zeros = zeros
         self.quasi_tree = quasi_tree
-        self.unresolved = unresolved
+        self.unresolved_mask = unresolved_mask
+        self._labels = labels
+
+    @property
+    def unresolved(self):
+        """The labels of the unresolved edges, as a frozenset."""
+        return frozenset(self._labels[ei]
+                         for ei in _iter_bits(self.unresolved_mask))
 
     def __repr__(self):
         return "<leaf Q=%#x unresolved={%s}>" % (
@@ -377,11 +384,10 @@ def resolution_tree(g, order=None):
     leaves share.
     """
     leaves = []
-    full = g.full_mask
+    full, labels = g.full_mask, g.edge_labels
 
     def leaf(ones, zeros, q, *_):
-        unresolved = frozenset(g.mask_labels(full ^ ones ^ zeros))
-        leaves.append(ResolutionNode(ones, zeros, q, unresolved))
+        leaves.append(ResolutionNode(ones, zeros, q, full ^ ones ^ zeros, labels))
 
     _descent(g, _lower_masks(g, order), leaf)
     return ResolutionTree(leaves)

@@ -39,9 +39,12 @@ its ends in a rollback union-find of the dual cellulation G* (where the
 unmarked edges are joined first); taken in, it joins them in a rollback
 union-find of G, and _splice moves it into the corner pairing.
 Returning restores the roots and the pairing, so a step costs a few
-finds and the walk of one circle.  boundary_components, genus_s and the
-partial duals keep the full walk, which the battery and the tests
-compare with the sweep.
+finds and the walk of one circle.  Each step runs its finds inline
+rather than through graphs._join, and reads its edge's end pairs, corner
+slice and attachment intervals from its level, fixed before the sweep
+starts; only _splice, bound once per sweep, is still a call.
+boundary_components, genus_s and the partial duals keep the full walk,
+which the battery and the tests compare with the sweep.
 
 Subsets of edges are bitmasks in edge-declaration order throughout, and
 graphs are capped at 64 edges.  All values are immutable once built;
@@ -65,8 +68,10 @@ class RibbonError(Exception):
 
 _SIGNS = {"+": 1, "-": -1, 1: 1, -1: -1}
 
-# corner c's partner along its attachment interval, for up to 64 edges
+# corner c's partner along its attachment interval, and the half-edge
+# that the interval holding c belongs to, for up to 64 edges
 _INTERVALS = tuple(c ^ 1 for c in range(4 * 64))
+_HALVES = tuple(c >> 1 for c in range(4 * 64))
 
 
 def _iter_bits(mask):
@@ -90,7 +95,9 @@ def _sweep(g, marked, d, leaf):
     it), and bc is 0 unless g is a RibbonGraph.  One step per marked edge
     decides it and calls the next lower edge's step; the lowest, leaf."""
     parent = list(range(g.n_vertices))
-    link = g._link(0) if isinstance(g, RibbonGraph) else None
+    link = splice = d_parent = None
+    if isinstance(g, RibbonGraph):
+        link, splice = g._link(0), g._splice
     c_d = 0
     if d is not None:
         d_parent = list(range(d.n_vertices))
@@ -98,23 +105,43 @@ def _sweep(g, marked, d, leaf):
                                  for ei in _iter_bits(g.full_mask ^ marked))
 
     def level(ei, down):
-        bit, pair, corners = 1 << ei, g._ends[ei], slice(4 * ei, 4 * ei + 4)
-        d_pair = None if d is None else d._ends[ei]
+        bit, (ga, gb) = 1 << ei, g._ends[ei]
+        da, db = (0, 0) if d is None else d._ends[ei]
+        corners = slice(4 * ei, 4 * ei + 4)
         intervals = None if link is None else g._intervals[corners]
 
+        # the finds are inlined, as in graphs._join: each union links one
+        # root under the other and resetting that root undoes it
         def step(f, k, c, c_d, bc):
-            r = -1 if d_pair is None else _join(d_parent, d_pair)
-            down(f, k, c, c_d - (r >= 0), bc)
-            if r >= 0:
-                d_parent[r] = r
-            r = _join(parent, pair)
-            if link is None:
-                down(f | bit, k + 1, c - (r >= 0), c_d, bc)
+            if d_parent is None:
+                down(f, k, c, c_d, bc)
             else:
-                down(f | bit, k + 1, c - (r >= 0), c_d, bc + g._splice(link, ei))
+                a, b = da, db
+                while d_parent[a] != a:
+                    a = d_parent[a]
+                while d_parent[b] != b:
+                    b = d_parent[b]
+                if a == b:
+                    down(f, k, c, c_d, bc)
+                else:
+                    d_parent[a] = b
+                    down(f, k, c, c_d - 1, bc)
+                    d_parent[a] = a
+            a, b = ga, gb
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if link is not None:
+                bc += splice(link, ei)
+            if a == b:
+                down(f | bit, k + 1, c, c_d, bc)
+            else:
+                parent[a] = b
+                down(f | bit, k + 1, c - 1, c_d, bc)
+                parent[a] = a
+            if link is not None:
                 link[corners] = intervals
-            if r >= 0:
-                parent[r] = r
         return step
 
     step = leaf
@@ -206,24 +233,24 @@ class RibbonGraph:
         nh = 2 * len(self.edges)
         self._sign = tuple(e[2] for e in self.edges)
         self._rot_idx = rot_idx = tuple(rot_idx)
-        vertex_of = [-1] * nh
-        for vi, rot in enumerate(rot_idx):
-            for k in rot:
-                vertex_of[k] = vi
-        self._vertex_of = tuple(vertex_of)
-        self._ends = tuple(zip(vertex_of[0::2], vertex_of[1::2]))
-        self._bare = rot_idx.count(())
-
         # the mask-independent corner tables of the walk: half-edge h owns
         # corners 2h and 2h + 1, so edge i owns 4i .. 4i + 3.  _arc pairs
         # the ends of each disc arc and _intervals those of each attachment
         # interval; _sides[i] holds the partners of edge i's four corners
-        # along its ribbon sides
+        # along its ribbon sides.  One pass over each rotation places its
+        # half-edges and writes its arcs
+        vertex_of = [-1] * nh
         arc = [0] * (2 * nh)
-        for rot in rot_idx:
-            for a, b in zip(rot, rot[1:] + rot[:1]):
+        for vi, rot in enumerate(rot_idx):
+            a = rot[-1] if rot else None
+            for b in rot:
+                vertex_of[b] = vi
                 arc[2 * a + 1] = 2 * b
                 arc[2 * b] = 2 * a + 1
+                a = b
+        self._vertex_of = tuple(vertex_of)
+        self._ends = tuple(zip(vertex_of[0::2], vertex_of[1::2]))
+        self._bare = rot_idx.count(())
         self._arc = tuple(arc)
         self._intervals = _INTERVALS[:2 * nh]
         self._sides = tuple(
@@ -293,7 +320,8 @@ class RibbonGraph:
     def _walk(self, mask):
         """Trace every circle of the corner walk for F_mask.
 
-        Returns (link, role, walks).  link pairs the corners of the edges
+        Returns (role, walks).  The walk follows the disc arcs and the
+        pairing link of _link(mask), which pairs the corners of the edges
         in mask along their ribbon sides and the others along their
         attachment intervals.  Each walk lists the corners where its
         circle leaves along link, from the least corner of the circle on;
@@ -316,7 +344,7 @@ class RibbonGraph:
                 role[c] = 2
                 c = arc[c]
             walks.append(walk)
-        return link, role, walks
+        return role, walks
 
     def _link(self, mask):
         """The corner pairing of F_mask: the corners of the edges in mask
@@ -352,7 +380,7 @@ class RibbonGraph:
         The circles of the corner walk described in the module docstring,
         plus one for each vertex without half-edges.
         """
-        return len(self._walk(self._norm_mask(edges))[2]) + self._bare
+        return len(self._walk(self._norm_mask(edges))[1]) + self._bare
 
     def genus_s(self, edges=None):
         """s(F) = 2c(F) - v + e(F) - bc(F); twice the orientable genus of
@@ -494,13 +522,21 @@ class RibbonGraph:
 
         A circle leaving a corner c along link crosses the re-attached
         half-edge of c's edge: the ribbon side or interval holding (h1, 0)
-        keeps h1, the other one becomes h2.  An edge is untwisted exactly
-        when the corners paired by its other pairing (intervals for edges
-        in mask, ribbon sides for the rest) have opposite roles.
+        keeps h1, the other one becomes h2.  One table per mask gives that
+        half-edge for every corner: c >> 1 where c's edge pairs along its
+        intervals, and for the edges of mask, whose corners pair along
+        their sides, h1 h2 h2 h1 on the four corners of an untwisted edge
+        and h1 h2 h1 h2 on those of a twisted one.  An edge is untwisted
+        exactly when the corners paired by its other pairing (intervals
+        for edges in mask, ribbon sides for the rest) have opposite roles.
         """
-        link, role, walks = self._walk(mask)
-        walks = [[(c >> 2 << 1) | (min(c, link[c]) & 3 != 0) for c in walk]
-                 for walk in walks]
+        role, walks = self._walk(mask)
+        half = list(_HALVES[:len(role)])
+        for ei in _iter_bits(mask):
+            h = 2 * ei
+            half[4 * ei:4 * ei + 4] = ((h, h + 1, h + 1, h) if self._sign[ei] > 0
+                                       else (h, h + 1, h, h + 1))
+        walks = [list(map(half.__getitem__, walk)) for walk in walks]
         signs = []
         for ei in range(len(self.edges)):
             c = 4 * ei
@@ -509,8 +545,11 @@ class RibbonGraph:
         return walks, signs
 
     def dual(self):
-        """The Poincare dual: one vertex per boundary circle, same edges."""
-        return self.partial_dual(self.full_mask)
+        """The Poincare dual: one vertex per boundary circle, same edges;
+        built once and cached on the instance."""
+        if "_dual" not in self.__dict__:
+            self._dual = self.partial_dual(self.full_mask)
+        return self._dual
 
     # ------------------------------------------------------------------
     # minors
@@ -581,11 +620,8 @@ class EmbeddedGraph:
 
     @property
     def dual_cellulation(self):
-        """dual(G~), computed once and cached on the instance."""
-        d = self.__dict__.get("_dual")
-        if d is None:
-            d = self._dual = self.cellulation.dual()
-        return d
+        """dual(G~), the cellulation's cached Poincare dual."""
+        return self.cellulation.dual()
 
     def surface_invariants(self):
         """(c(Sigma), chi(Sigma), delta) of the ambient surface."""

@@ -17,7 +17,7 @@ from qpoly.invariants import _submasks, _tally
 from qpoly.laurent import LaurentPoly, parse_poly
 from qpoly.matroid import bond_matroid, cycle_matroid
 from qpoly.quasitrees import quasi_tree_masks
-from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
+from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _sweep
 
 from fixture_graphs import (
     FIXTURES,
@@ -366,3 +366,32 @@ def test_sweep_matches_per_mask_counts():
             assert _tally(g, mask) == collapse(want, {0, 1, 3}), (g, mask)
             assert _tally(g.underlying_graph(), mask, d) == collapse(want, {0, 1, 2}), (g, mask)
     assert split > 0 and connected >= 10
+
+
+def test_sweep_leaves_in_call_order_match_per_mask_counts():
+    # each leaf (f, |F|, c_g(F), c_d(E-F), bc_g(F)) in call order, against
+    # the ascending submasks F of the marking with c by search, bc by a
+    # fresh corner walk and c_d on (E - marked) | (marked - F); g is a
+    # RibbonGraph or its underlying MultiGraph, each with and without d
+    rng = random.Random(37)
+    graphs = [make() for make in FIXTURES.values()]
+    graphs += random_twisted_graphs()
+    graphs.append(disconnected_with_bare_vertex())
+    proper = 0
+    for g in graphs:
+        d, full = g.dual(), g.full_mask
+        bc = [g.boundary_components(f) for f in range(full + 1)]
+        c_d = [count_by_search(d, f) for f in range(full + 1)]
+        for marked in markings(g, rng):
+            proper += 0 < marked < full
+            for h in (g, g.underlying_graph()):
+                c = {f: count_by_search(h, f) for f in _submasks(marked)}
+                ribbon = isinstance(h, RibbonGraph)
+                for dual in (None, d):
+                    leaves = []
+                    _sweep(h, marked, dual, lambda *leaf: leaves.append(leaf))
+                    want = [(f, f.bit_count(), c[f],
+                             0 if dual is None else c_d[full ^ f],
+                             bc[f] if ribbon else 0) for f in sorted(c)]
+                    assert leaves == want, (g, h, marked, dual)
+    assert proper >= len(graphs)
