@@ -14,7 +14,10 @@ and n off RibbonGraph.subgraph_profile() of G and of G*, each computed
 once per battery by ribbon._sweep, the engine of the brute-force sums.
 partial-duality-connectivity reads c(G - B) and c(G^A - B) for every
 subset B of E - A off one such sweep per A, of the graph G/A on the
-classes of A against G^A.
+classes of A against G^A.  The sweep reads both sides from their vertex
+counts and edge end pairs alone, so neither is built as a graph, and
+no G^A that it or partial-dual-counts reads builds its labelled
+vertices.
 
 dual-involution and partial-dual-composition compare ribbon graphs
 exactly, by RibbonGraph.switching_form(): a canonical form up to vertex
@@ -28,8 +31,8 @@ two union-finds per graph, so both identities run at every size.
 from __future__ import annotations
 
 from contextvars import ContextVar
+from types import SimpleNamespace
 
-from .graphs import MultiGraph
 from .invariants import (
     PolyKind,
     _submasks,
@@ -337,13 +340,13 @@ def _check_partial_duality_connectivity(emb, order):
             return ("SKIP", "every sampled A leaves more than 16 edges outside it")
     for a in amasks:
         v, _, _, _, ends = _partial_dual_facts(emb, a)
-        ga = MultiGraph(range(v), [(lbl, x, y)
-                                   for lbl, (x, y) in zip(g.edge_labels, ends)])
         rest = full ^ a
         _, comp = g._flips(a)
-        g_a = MultiGraph(range(max(comp, default=-1) + 1),
-                         [(lbl, comp[u], comp[w])
-                          for lbl, (u, w) in zip(g.edge_labels, g._ends)])
+        # _sweep reads only these fields of the two sides
+        g_a = SimpleNamespace(n_vertices=max(comp, default=-1) + 1,
+                              _ends=[(comp[u], comp[w]) for u, w in g._ends],
+                              full_mask=full)
+        ga = SimpleNamespace(n_vertices=v, _ends=ends)
         cs, ds = [], []
 
         def leaf(f, k, c, c_d, bc):

@@ -5,8 +5,9 @@ function or a Tutte sum needs, nothing topological.  Edge subsets are
 bitmasks in edge declaration order, matching the convention used for
 ribbon graphs.  RibbonGraph borrows the mask helpers, components and
 nullity, since both classes keep the index of every edge label in
-_edge_index and the vertex pair of edge i in _ends[i]; each class names
-the exception its helpers raise in _error.
+_edge_index and the vertex pair of edge i in _ends[i] and count their
+vertices by n_vertices; each class names the exception its helpers raise
+in _error.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _join(parent, ends):
 def _forest(g, edge_order):
     """A spanning forest of g as an edge mask, by Kruskal: each edge of
     edge_order is kept when it joins two classes of the forest so far."""
-    parent = list(range(len(g.vertices)))
+    parent = list(range(g.n_vertices))
     ends = g._ends
     forest = 0
     for ei in edge_order:
@@ -112,7 +113,7 @@ class MultiGraph:
     def components(self, mask=None):
         """Connected components of the spanning subgraph on the given edges."""
         mask = self._norm_mask(mask)
-        parent = list(range(len(self.vertices)))
+        parent = list(range(self.n_vertices))
         ends = self._ends
         c = len(parent)
         m = mask
@@ -125,7 +126,7 @@ class MultiGraph:
     def nullity(self, mask=None):
         """Cycle-space dimension e(F) - v + c(F) of the spanning subgraph."""
         mask = self._norm_mask(mask)
-        return mask.bit_count() - len(self.vertices) + self.components(mask)
+        return mask.bit_count() - self.n_vertices + self.components(mask)
 
     def __repr__(self):
         return "<MultiGraph v=%d e=%d>" % (len(self.vertices), len(self.edges))

@@ -93,7 +93,10 @@ def _sweep(g, marked, d, leaf):
     """Call leaf(f, |F|, c_g(F), c_d(E-F), bc_g(F)) at each submask F of
     marked, ascending; d is a graph on the same edges (c_d is 0 without
     it), and bc is 0 unless g is a RibbonGraph.  One step per marked edge
-    decides it and calls the next lower edge's step; the lowest, leaf."""
+    decides it and calls the next lower edge's step; the lowest, leaf.
+    Of g and d it reads n_vertices and _ends, and g's full_mask when d is
+    given; so any record with those fields will do, and only a
+    RibbonGraph g adds its corner tables for bc."""
     parent = list(range(g.n_vertices))
     link = splice = d_parent = None
     if isinstance(g, RibbonGraph):
@@ -170,7 +173,7 @@ class RibbonGraph:
         verts = []
         for name, rot in vertices:
             verts.append((name, tuple(rot)))
-        self.vertices = tuple(verts)
+        self._vertices = tuple(verts)
         eds = []
         for label, pair, sign in edges:
             h1, h2 = pair
@@ -181,11 +184,11 @@ class RibbonGraph:
         if len(self.edges) > 64:
             raise RibbonError("ribbon graphs are capped at 64 edges")
 
-        for name, _ in self.vertices:
+        for name, _ in self._vertices:
             if not isinstance(name, str):
                 raise RibbonError("vertex names must be strings, got %r" % (name,))
         names = set()
-        for name, _ in self.vertices:
+        for name, _ in self._vertices:
             if name in names:
                 raise RibbonError("duplicate vertex %r" % name)
             names.add(name)
@@ -213,7 +216,7 @@ class RibbonGraph:
 
         rot_idx = []
         seen = set()
-        for name, rot in self.vertices:
+        for name, rot in self._vertices:
             for h in rot:
                 if h not in self._half_index:
                     raise RibbonError("half-edge %r is not on any edge" % h)
@@ -265,11 +268,27 @@ class RibbonGraph:
     # basics
 
     _error = RibbonError
-    n_vertices = MultiGraph.n_vertices
     n_edges = MultiGraph.n_edges
     full_mask = MultiGraph.full_mask
     edge_mask = MultiGraph.edge_mask
     _norm_mask = MultiGraph._norm_mask
+
+    @property
+    def vertices(self):
+        """The (name, rotation) pairs, rotations as half-edge labels.  A
+        partial dual leaves them unbuilt until they are first read, then
+        names its vertices v1, v2, ... in the order of _rot_idx: the walks,
+        then the bare vertices."""
+        if self._vertices is None:
+            labels = self.half_labels
+            self._vertices = tuple(
+                ("v%d" % (i + 1), tuple(labels[h] for h in rot))
+                for i, rot in enumerate(self._rot_idx))
+        return self._vertices
+
+    @property
+    def n_vertices(self):
+        return len(self._rot_idx)
 
     def twist(self, label):
         """The sign of an edge, +1 or -1."""
@@ -309,7 +328,7 @@ class RibbonGraph:
         return hash((rot_forms, frozenset(edge_map.items())))
 
     def __repr__(self):
-        return "<RibbonGraph v=%d e=%d>" % (len(self.vertices), len(self.edges))
+        return "<RibbonGraph v=%d e=%d>" % (self.n_vertices, self.n_edges)
 
     # ------------------------------------------------------------------
     # subgraph invariants
@@ -386,7 +405,7 @@ class RibbonGraph:
         """s(F) = 2c(F) - v + e(F) - bc(F); twice the orientable genus of
         the filled-in surface, or its non-orientable genus."""
         mask = self._norm_mask(edges)
-        return (2 * self.components(mask) - len(self.vertices)
+        return (2 * self.components(mask) - self.n_vertices
                 + mask.bit_count() - self.boundary_components(mask))
 
     def is_orientable(self, edges=None):
@@ -406,7 +425,7 @@ class RibbonGraph:
         of every vertex: each vertex takes its sign across the edge that
         first reaches it, roots keep +1 and number the components in the
         order of their first vertex."""
-        nv = len(self.vertices)
+        nv = self.n_vertices
         adj = [[] for _ in range(nv)]
         for ei in _iter_bits(mask):
             a, b = self._ends[ei]
@@ -437,7 +456,7 @@ class RibbonGraph:
         """
         if len(self.edges) > 16:
             raise RibbonError("subgraph profile is exponential; refusing e > 16")
-        nv = len(self.vertices)
+        nv = self.n_vertices
         out = []
         _sweep(self, self.full_mask, None, lambda f, k, c, _, bc:
                out.append((c, bc, 2 * c - nv + k - bc, k - nv + c)))
@@ -491,7 +510,8 @@ class RibbonGraph:
         become the corners of the re-attached half-edge, which determines
         the new twists.  The labels are this graph's, so only the index
         tables are built anew, after a check that the walks hold every
-        half-edge exactly once.
+        half-edge exactly once.  The labelled vertices view is built only
+        when it is first read; every count reads the index tables.
         """
         mask = self._norm_mask(edges)
         if not self.edges:
@@ -503,15 +523,13 @@ class RibbonGraph:
             raise RibbonError("the walks of the partial dual do not hold "
                               "every half-edge once")
         rot_idx = [tuple(walk) for walk in walks] + [()] * self._bare
-        labels = self.half_labels
         dual = RibbonGraph.__new__(RibbonGraph)
-        dual.vertices = tuple(("v%d" % (i + 1), tuple(labels[h] for h in rot))
-                              for i, rot in enumerate(rot_idx))
+        dual._vertices = None
         dual.edges = tuple((label, pair, sign)
                            for (label, pair, _), sign in zip(self.edges, signs))
         dual._edge_index = self._edge_index
         dual._half_index = self._half_index
-        dual.half_labels = labels
+        dual.half_labels = self.half_labels
         dual.edge_labels = self.edge_labels
         dual._index(rot_idx)
         return dual
@@ -627,7 +645,7 @@ class EmbeddedGraph:
         """(c(Sigma), chi(Sigma), delta) of the ambient surface."""
         g = self.cellulation
         c = g.components()
-        chi = len(g.vertices) - len(g.edges) + g.boundary_components()
+        chi = g.n_vertices - g.n_edges + g.boundary_components()
         return (c, chi, 2 * c - chi)
 
     def complement_invariants(self, edges):
@@ -665,4 +683,4 @@ class EmbeddedGraph:
     def __repr__(self):
         tag = "cellular" if self.is_cellular else "%d marked" % len(self.marked)
         return "<EmbeddedGraph v=%d e=%d (%s)>" % (
-            len(self.cellulation.vertices), len(self.cellulation.edges), tag)
+            self.cellulation.n_vertices, self.cellulation.n_edges, tag)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from qpoly import checks as checks_mod
+from qpoly.graphs import MultiGraph
 from qpoly.invariants import _submasks
 from qpoly.ribbon import EmbeddedGraph, RibbonGraph
 from qpoly.textio import XorShift64Star, random_graph
@@ -299,6 +300,18 @@ def test_partial_duality_connectivity_labels_once_per_a(monkeypatch):
     assert status == "PASS"
     labellings = sum(graph is emb.cellulation for graph in calls)
     assert 0 < labellings <= 2 ** 8, labellings
+
+
+def test_partial_duality_connectivity_builds_no_multigraph(monkeypatch):
+    # the sweep reads G/A and G^A from their vertex counts and end pairs
+    def refused(self, vertices, edges):
+        raise AssertionError("MultiGraph built")
+
+    monkeypatch.setattr(MultiGraph, "__init__", refused)
+    emb = EmbeddedGraph(random_graph(3, 8, Fraction(3, 10), seed=7))
+    status, detail = checks_mod._check_partial_duality_connectivity(
+        emb, emb.cellulation.edge_labels)
+    assert (status, detail) == ("PASS", "")
 
 
 def test_partial_duals_are_built_once_per_battery(monkeypatch):

@@ -277,6 +277,24 @@ def test_partial_dual_tables_match_a_validated_rebuild():
                 assert getattr(pd, name) == getattr(ref, name), (g, mask, name)
 
 
+def test_partial_dual_counts_do_not_build_the_vertex_labels():
+    """Every count of a partial dual reads the index tables: the labelled
+    vertices are still unbuilt after them, and the counts equal those of
+    the same graph built and validated afresh from the labels.  (A graph
+    without edges is its own partial dual, labels and all.)"""
+    def counts(h):
+        return (h.n_vertices, h.components(), h.is_orientable(),
+                h.boundary_components(), h.genus_s())
+
+    for g in PARTIAL_DUAL_GRAPHS:
+        for mask in all_masks(g):
+            pd = g.partial_dual(mask)
+            got = counts(pd)
+            assert pd._vertices is None or not g.n_edges, (g, mask)
+            assert got == counts(RibbonGraph(pd.vertices, pd.edges)), (g, mask)
+            assert len(pd.vertices) == got[0], (g, mask)
+
+
 @pytest.mark.parametrize("bad", [
     lambda walks: [walks[0] + walks[0][:1]] + walks[1:],
     lambda walks: [walks[0][1:]] + walks[1:],
