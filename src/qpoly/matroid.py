@@ -4,7 +4,8 @@ Only the graphic case and its dual are needed: the cycle matroid C(g) of
 an ordinary multigraph with r(F) = v - c(F), and bond matroids obtained
 from it by matroid duality r*(H) = |H| + r(M \\ H) - r(M).  Subsets are
 bitmasks over the ground set in declaration order, with edge-label
-iterables accepted everywhere.
+iterables accepted everywhere.  No qp command reads ranks: only the
+library API and the tests' Las Vergnas reference do.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ __all__ = [
     "RankFunction",
     "cycle_matroid",
     "bond_matroid",
-    "satisfies_rank_axioms",
 ]
 
 
@@ -90,30 +90,3 @@ def cycle_matroid(g):
 def bond_matroid(g):
     """B(g), the dual of the cycle matroid."""
     return cycle_matroid(g).dual()
-
-
-def satisfies_rank_axioms(r):
-    """Exhaustive check of the three rank axioms.
-
-    Refused above 16 ground elements (the check walks all subsets).
-    """
-    n = len(r.ground)
-    if n > 16:
-        raise ValueError("axiom check is exponential; refusing more than 16 elements")
-    rk = [r._rank_of_mask(m) for m in range(1 << n)]
-    if rk[0] != 0:
-        return False
-    for m in range(1 << n):
-        rm = rk[m]
-        outside = [x for x in range(n) if not (m >> x) & 1]
-        for x in outside:
-            rx = rk[m | (1 << x)]
-            if rx < rm or rx > rm + 1:
-                return False
-        for i, x in enumerate(outside):
-            if rk[m | (1 << x)] != rm:
-                continue
-            for y in outside[i + 1:]:
-                if rk[m | (1 << y)] == rm and rk[m | (1 << x) | (1 << y)] != rm:
-                    return False
-    return True

@@ -207,17 +207,23 @@ def test_euler_genus_catches_a_lost_boundary_circle(monkeypatch):
     assert status == "FAIL" and detail.startswith("Euler count broken")
 
 
+def e11_with_bare_vertex():
+    g = random_graph(4, 11, Fraction(3, 10), seed=6)
+    return RibbonGraph(list(g.vertices) + [("x", ())], g.edges)
+
+
 # qp check output pinned byte for byte on both sides of every cap: an e = 8
-# document with twisted edges and one with 6 edges marked (under every
-# cap), an e = 10 document (above the 8-edge cap of matroid-axioms only),
-# an e = 11 and an e = 12 document (above the 10-edge cap of
-# partial-dual-counts and the six polynomial identities, at most the
-# 12-edge cap of the per-subset identities and quasitree-partition) and an
-# e = 13 document (above every cap).  Two marked documents pin the order of
-# the skip rules: at e = 11 with 9 edges marked, the three identities that
-# need a cellular document skip for the marking before the edge count,
-# and matroid-axioms skips at 9 marked edges; at e = 10 with 7 edges
-# marked, matroid-axioms counts the marked edges and runs
+# document with twisted edges and one with 6 edges marked, an e = 10
+# document (at the 10-edge cap of partial-dual-counts and the six
+# polynomial identities, so no identity skips), an e = 11 and an e = 12
+# document (above the 10-edge cap, at most the 12-edge cap of the
+# per-subset identities and quasitree-partition), an e = 11 document with
+# a bare vertex and an e = 13 document (above every cap).  Two marked
+# documents pin the skip rules: at e = 11 with 9 edges marked, the three
+# identities that need a cellular document skip for the marking before
+# the edge count, and the others skip by the 11 edges of the cellulation,
+# not the 9 marked ones; at e = 10 with 7 edges marked, every identity
+# that takes a marked document runs
 PINNED_CHECK_DOCS = {
     "e8-twisted": lambda: serialize(random_graph(3, 8, Fraction(3, 10), seed=7)),
     "e8-marked": lambda: serialize(EmbeddedGraph(
@@ -233,6 +239,7 @@ PINNED_CHECK_DOCS = {
     "e10-marked": lambda: serialize(EmbeddedGraph(
         random_graph(4, 10, Fraction(3, 10), seed=7),
         ["e%d" % i for i in range(1, 8)])),
+    "e11-bare": lambda: serialize(e11_with_bare_vertex()),
 }
 
 PINNED_CHECK_OUTPUT = {
@@ -246,7 +253,6 @@ PASS partial-dual-composition
 PASS partial-duality-connectivity
 PASS boundary-duality
 PASS surface-complement
-PASS matroid-axioms
 PASS duality-swap
 PASS tutte-specialization
 PASS br-chain
@@ -265,7 +271,6 @@ PASS partial-dual-composition
 PASS partial-duality-connectivity
 PASS boundary-duality
 PASS surface-complement
-PASS matroid-axioms
 SKIP duality-swap (the document marks a proper edge subset)
 PASS tutte-specialization
 PASS br-chain
@@ -284,7 +289,6 @@ PASS partial-dual-composition
 PASS partial-duality-connectivity
 PASS boundary-duality
 PASS surface-complement
-SKIP matroid-axioms (more than 8 edges)
 PASS duality-swap
 PASS tutte-specialization
 PASS br-chain
@@ -303,7 +307,6 @@ PASS partial-dual-composition
 PASS partial-duality-connectivity
 PASS boundary-duality
 PASS surface-complement
-SKIP matroid-axioms (more than 8 edges)
 SKIP duality-swap (more than 10 edges)
 SKIP tutte-specialization (more than 10 edges)
 SKIP br-chain (more than 10 edges)
@@ -322,7 +325,6 @@ PASS partial-dual-composition
 PASS partial-duality-connectivity
 PASS boundary-duality
 PASS surface-complement
-SKIP matroid-axioms (more than 8 edges)
 SKIP duality-swap (more than 10 edges)
 SKIP tutte-specialization (more than 10 edges)
 SKIP br-chain (more than 10 edges)
@@ -341,7 +343,6 @@ PASS partial-dual-composition
 PASS partial-duality-connectivity
 SKIP boundary-duality (more than 12 edges)
 SKIP surface-complement (more than 12 edges)
-SKIP matroid-axioms (more than 8 edges)
 SKIP duality-swap (more than 10 edges)
 SKIP tutte-specialization (more than 10 edges)
 SKIP br-chain (more than 10 edges)
@@ -360,7 +361,6 @@ PASS partial-dual-composition
 PASS partial-duality-connectivity
 PASS boundary-duality
 PASS surface-complement
-SKIP matroid-axioms (more than 8 edges)
 SKIP duality-swap (the document marks a proper edge subset)
 SKIP tutte-specialization (more than 10 edges)
 SKIP br-chain (more than 10 edges)
@@ -379,7 +379,6 @@ PASS partial-dual-composition
 PASS partial-duality-connectivity
 PASS boundary-duality
 PASS surface-complement
-PASS matroid-axioms
 SKIP duality-swap (the document marks a proper edge subset)
 PASS tutte-specialization
 PASS br-chain
@@ -387,6 +386,24 @@ SKIP lv-chain (the document marks a proper edge subset)
 SKIP krushkal-expansion (the document marks a proper edge subset)
 PASS quasitree-partition
 PASS deletion-contraction
+""",
+    "e11-bare": """\
+PASS euler-genus
+PASS orientable-parity
+PASS dual-involution
+PASS partial-dual-identity
+SKIP partial-dual-counts (more than 10 edges)
+PASS partial-dual-composition
+PASS partial-duality-connectivity
+PASS boundary-duality
+PASS surface-complement
+SKIP duality-swap (more than 10 edges)
+SKIP tutte-specialization (more than 10 edges)
+SKIP br-chain (more than 10 edges)
+SKIP lv-chain (more than 10 edges)
+SKIP krushkal-expansion (more than 10 edges)
+PASS quasitree-partition
+SKIP deletion-contraction (more than 10 edges)
 """,
 }
 
@@ -397,6 +414,34 @@ def test_check_stdout_is_pinned(tmp_path, capsys, name):
     code, out, err = run_cli(capsys, "check", "-i", path)
     assert (code, err) == (0, "")
     assert out == PINNED_CHECK_OUTPUT[name]
+
+
+def test_dual_involution_counts_the_dual_vertices_by_splices(monkeypatch):
+    # G*'s vertices are the circles of G's full walk, which
+    # boundary_components() counts too, so merge two of those circles: the
+    # switching forms tell, and with them blinded, bc(E) by the sweep's
+    # splices, which counts the bare vertex as well, still tells that G*
+    # lost a vertex.  At e = 11 partial-dual-counts, which also compares
+    # the walks with the sweep, skips
+    g = e11_with_bare_vertex()
+    walk = RibbonGraph._walk
+
+    def merged(self, mask):
+        role, walks = walk(self, mask)
+        if self is g and mask == g.full_mask:
+            walks = [walks[0] + walks[1]] + walks[2:]
+        return role, walks
+
+    monkeypatch.setattr(RibbonGraph, "_walk", merged)
+    emb = EmbeddedGraph(g)
+    results = {name: (status, detail) for name, status, detail
+               in checks_mod.run_checks(emb, g.edge_labels)}
+    assert results["partial-dual-counts"] == ("SKIP", "more than 10 edges")
+    assert results["dual-involution"][0] == "FAIL"
+    monkeypatch.setattr(RibbonGraph, "switching_form", lambda self: ())
+    dual_involution = dict(checks_mod.CHECKS)["dual-involution"]
+    assert dual_involution(emb, g.edge_labels) == (
+        "FAIL", "dual does not swap vertices with boundary components")
 
 
 def test_check_entry_skips_before_the_identity_runs(monkeypatch):

@@ -5,14 +5,36 @@ import random
 import pytest
 
 from qpoly.graphs import MultiGraph
-from qpoly.matroid import (
-    RankFunction,
-    bond_matroid,
-    cycle_matroid,
-    satisfies_rank_axioms,
-)
+from qpoly.matroid import RankFunction, bond_matroid, cycle_matroid
 
 from fixture_graphs import FIXTURES, b1, th
+
+
+def satisfies_rank_axioms(r):
+    """Exhaustive check of the three rank axioms.
+
+    Refused above 16 ground elements (the check walks all subsets).
+    """
+    n = len(r.ground)
+    if n > 16:
+        raise ValueError("axiom check is exponential; refusing more than 16 elements")
+    rk = [r._rank_of_mask(m) for m in range(1 << n)]
+    if rk[0] != 0:
+        return False
+    for m in range(1 << n):
+        rm = rk[m]
+        outside = [x for x in range(n) if not (m >> x) & 1]
+        for x in outside:
+            rx = rk[m | (1 << x)]
+            if rx < rm or rx > rm + 1:
+                return False
+        for i, x in enumerate(outside):
+            if rk[m | (1 << x)] != rm:
+                continue
+            for y in outside[i + 1:]:
+                if rk[m | (1 << y)] == rm and rk[m | (1 << x) | (1 << y)] != rm:
+                    return False
+    return True
 
 
 def loop_graph():

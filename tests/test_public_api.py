@@ -13,8 +13,7 @@ SURFACE = {
     "invariants": "PolyKind bollobas_riordan krushkal las_vergnas "
                   "specialize tutte",
     "laurent": "LaurentPoly SubstitutionError VARIABLES parse_poly",
-    "matroid": "RankFunction bond_matroid cycle_matroid "
-               "satisfies_rank_axioms",
+    "matroid": "RankFunction bond_matroid cycle_matroid",
     "quasitrees": "ActivityPartition ResolutionNode ResolutionTree "
                   "activities expansion_br expansion_krushkal "
                   "expansion_lv one_vertex_word quasi_tree_masks "
@@ -24,9 +23,8 @@ SURFACE = {
 }
 
 # the package re-exports its submodules' names except these
-NOT_REEXPORTED = {"CHECKS", "main", "satisfies_rank_axioms",
-                  "ResolutionNode", "ResolutionTree", "one_vertex_word",
-                  "quasi_tree_masks"}
+NOT_REEXPORTED = {"CHECKS", "main", "ResolutionNode", "ResolutionTree",
+                  "one_vertex_word", "quasi_tree_masks"}
 
 
 def submodules():
