@@ -180,7 +180,7 @@ def _check_dual_involution(emb, order):
     d = emb.dual_cellulation
     if d.dual().switching_form() != g.switching_form():
         return ("FAIL", "dual(dual(G)) differs from G up to vertex flips")
-    link = g._link(0)
+    link = g._link(0)[0]
     bc = g.n_vertices + sum(g._splice(link, ei) for ei in range(g.n_edges))
     if d.n_vertices != bc or d.boundary_components() != g.n_vertices:
         return ("FAIL", "dual does not swap vertices with boundary components")

@@ -24,9 +24,16 @@ spanning subgraph on H that touch a half-edge.  Vertices without
 half-edges add one circle each.  One walk over these cycles gives the
 boundary count bc(H), the vertices of the partial dual G^H (one per
 circle, its rotation the half-edges crossed), and so the vertex word of
-G^Q for a quasi-tree Q.  Moving one edge into H changes the pairing at
-its four corners only, so _splice finds the new bc by walking the one
-circle through them.
+G^Q for a quasi-tree Q.  The walk writes those rotations itself, reading
+the half-edge crossed at each corner from a table built with the
+pairing, so partial_dual indexes its walks as they come.  Moving one
+edge into H changes the pairing at its four corners only, so _splice
+finds the new bc by walking the one circle through them.
+
+Orientability, and the vertex flips and component labels of _flips,
+come from one parity union-find (_parity): each vertex keeps its flip
+relative to its parent, and an edge whose ends are one class already is
+cleared or not by the product of the flips on the way to the root.
 
 _sweep is the one enumeration of the 2^e spanning subgraphs, read by the
 brute-force sums (invariants._tally), by subgraph_profile and so by the
@@ -52,6 +59,8 @@ operations are pure functions, so everything here is safe to share.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .graphs import MultiGraph, _forest, _join
 
@@ -82,11 +91,13 @@ def _iter_bits(mask):
 
 
 def _cyclic_min(seq):
-    """Lexicographically least rotation of a tuple (cyclic normal form)."""
-    if len(seq) < 2:
-        return tuple(seq)
+    """Lexicographically least rotation of a tuple (cyclic normal form).
+    Only the rotations that start at the least element are candidates."""
     seq = tuple(seq)
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+    if len(seq) < 2:
+        return seq
+    least = min(seq)
+    return min(seq[i:] + seq[:i] for i, x in enumerate(seq) if x == least)
 
 
 def _sweep(g, marked, d, leaf):
@@ -100,7 +111,7 @@ def _sweep(g, marked, d, leaf):
     parent = list(range(g.n_vertices))
     link = splice = d_parent = None
     if isinstance(g, RibbonGraph):
-        link, splice = g._link(0), g._splice
+        link, splice = g._link(0)[0], g._splice
     c_d = 0
     if d is not None:
         d_parent = list(range(d.n_vertices))
@@ -342,12 +353,14 @@ class RibbonGraph:
         Returns (role, walks).  The walk follows the disc arcs and the
         pairing link of _link(mask), which pairs the corners of the edges
         in mask along their ribbon sides and the others along their
-        attachment intervals.  Each walk lists the corners where its
-        circle leaves along link, from the least corner of the circle on;
+        attachment intervals.  From the least corner of its circle on,
+        each walk is the tuple of the half-edges that _link's second table
+        gives at the corners where the circle leaves along link: the
+        rotation of that circle's vertex in the partial dual on mask.
         role[c] is 1 at those corners and 2 where a circle enters along
         link.
         """
-        link = self._link(mask)
+        link, half = self._link(mask)
         arc = self._arc
         role = bytearray(len(arc))
         walks = []
@@ -358,21 +371,36 @@ class RibbonGraph:
             c = c0
             while not role[c]:
                 role[c] = 1
-                walk.append(c)
+                walk.append(half[c])
                 c = link[c]
                 role[c] = 2
                 c = arc[c]
-            walks.append(walk)
+            walks.append(tuple(walk))
         return role, walks
 
     def _link(self, mask):
-        """The corner pairing of F_mask: the corners of the edges in mask
-        pair along their ribbon sides, the others along their attachment
-        intervals."""
+        """The corner pairing of F_mask, and the half-edge that a circle
+        of its walk crosses as it leaves each corner along the pairing.
+
+        The corners of the edges in mask pair along their ribbon sides,
+        the others along their attachment intervals.  The ribbon side or
+        interval holding (h1, 0) keeps h1 in the partial dual on mask, the
+        other one becomes h2: corner c gives c >> 1 where c's edge pairs
+        along its intervals, and for the edges of mask h1 h2 h2 h1 on the
+        four corners of an untwisted edge and h1 h2 h1 h2 on those of a
+        twisted one."""
         link = list(self._intervals)
-        for ei in _iter_bits(mask):
-            link[4 * ei:4 * ei + 4] = self._sides[ei]
-        return link
+        half = list(_HALVES[:len(link)])
+        sides, sign = self._sides, self._sign
+        m = mask
+        while m:
+            ei = (m & -m).bit_length() - 1
+            m &= m - 1
+            c, h = 4 * ei, 2 * ei
+            link[c:c + 4] = sides[ei]
+            half[c:c + 4] = ((h, h + 1, h + 1, h) if sign[ei] > 0
+                             else (h, h + 1, h, h + 1))
+        return link, half
 
     def _splice(self, link, ei):
         """Move edge ei into the subset that link pairs, and return the
@@ -410,44 +438,67 @@ class RibbonGraph:
 
     def is_orientable(self, edges=None):
         """Whether some vertex-flip assignment clears every twist of the
-        subgraph; a twisted loop is never cleared."""
-        mask = self._norm_mask(edges)
-        flip, _ = self._flips(mask)
-        for ei in _iter_bits(mask):
-            a, b = self._ends[ei]
-            if self._sign[ei] * flip[a] * flip[b] < 0:
-                return False
-        return True
+        subgraph; a twisted loop is never cleared.  One pass of the
+        parity union-find of _parity."""
+        return self._parity(self._norm_mask(edges))[2]
 
     def _flips(self, mask):
         """A flip sign per vertex, +1 or -1, that clears the twist of every
         edge of a spanning forest of the subgraph, and the component index
-        of every vertex: each vertex takes its sign across the edge that
-        first reaches it, roots keep +1 and number the components in the
-        order of their first vertex."""
-        nv = self.n_vertices
-        adj = [[] for _ in range(nv)]
-        for ei in _iter_bits(mask):
-            a, b = self._ends[ei]
-            s = self._sign[ei]
-            adj[a].append((b, s))
-            adj[b].append((a, s))
+        of every vertex: the first vertex of each component keeps +1, and
+        the components are numbered in the order of their first vertex.
+        Read off the parity union-find of _parity, so on a forest the
+        flips are the only ones that clear its twists with those +1s."""
+        parent, rel, _ = self._parity(mask)
+        nv = len(parent)
         flip = [0] * nv
         comp = [0] * nv
+        # the flip of the first vertex, and the index, of each component,
+        # stored at its root
+        first = [0] * nv
+        index = [0] * nv
         n = 0
-        for start in range(nv):
-            if flip[start]:
-                continue
-            flip[start], comp[start] = 1, n
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y, s in adj[x]:
-                    if not flip[y]:
-                        flip[y], comp[y] = flip[x] * s, n
-                        stack.append(y)
-            n += 1
+        for v in range(nv):
+            x, f = v, 1
+            while parent[x] != x:
+                f *= rel[x]
+                x = parent[x]
+            if not first[x]:
+                first[x], index[x] = f, n
+                n += 1
+            flip[v], comp[v] = f * first[x], index[x]
         return flip, comp
+
+    def _parity(self, mask):
+        """(parent, rel, cleared): a union-find of the subgraph's vertices
+        in which rel[x] is the flip of x relative to parent[x], as the
+        edges that linked the classes ask, and whether every edge of the
+        subgraph is cleared by those flips.  Edge e = (a, b) of twist s
+        asks flip(a) flip(b) = s; when a and b are one class already, it
+        is cleared exactly when their flips relative to the root agree
+        with s.  Roots are linked without path compression, as in
+        graphs._join."""
+        parent = list(range(self.n_vertices))
+        rel = [1] * len(parent)
+        ends, sign = self._ends, self._sign
+        cleared = True
+        m = mask
+        while m:
+            ei = (m & -m).bit_length() - 1
+            m &= m - 1
+            a, b = ends[ei]
+            s = sign[ei]
+            while parent[a] != a:
+                s *= rel[a]
+                a = parent[a]
+            while parent[b] != b:
+                s *= rel[b]
+                b = parent[b]
+            if a != b:
+                parent[a], rel[a] = b, s
+            elif s < 0:
+                cleared = False
+        return parent, rel, cleared
 
     def subgraph_profile(self):
         """The (c, bc, s, n) vector of every edge subset, indexed by mask.
@@ -509,20 +560,20 @@ class RibbonGraph:
         intervals, and the two walk directions of each crossed interval
         become the corners of the re-attached half-edge, which determines
         the new twists.  The labels are this graph's, so only the index
-        tables are built anew, after a check that the walks hold every
-        half-edge exactly once.  The labelled vertices view is built only
-        when it is first read; every count reads the index tables.
+        tables are built anew, after a check that the walks hold the
+        half-edge indexes 0 .. 2e - 1 exactly once.  The labelled
+        vertices view is built only when it is first read; every count
+        reads the index tables.
         """
         mask = self._norm_mask(edges)
         if not self.edges:
             return RibbonGraph(self.vertices, ())
         walks, signs = self._dual_walks(mask)
-        halves = [h for walk in walks for h in walk]
-        if len(halves) != len(self.half_labels) or \
-                len(set(halves)) != len(halves):
+        if sorted(chain.from_iterable(walks)) != \
+                list(range(len(self.half_labels))):
             raise RibbonError("the walks of the partial dual do not hold "
                               "every half-edge once")
-        rot_idx = [tuple(walk) for walk in walks] + [()] * self._bare
+        rot_idx = walks + [()] * self._bare
         dual = RibbonGraph.__new__(RibbonGraph)
         dual._vertices = None
         dual.edges = tuple((label, pair, sign)
@@ -536,25 +587,14 @@ class RibbonGraph:
 
     def _dual_walks(self, mask):
         """The rotations of the walk vertices of the partial dual on mask,
-        as half-edge indexes, and the twists of its edges.
+        as tuples of half-edge indexes, and the twists of its edges.
 
-        A circle leaving a corner c along link crosses the re-attached
-        half-edge of c's edge: the ribbon side or interval holding (h1, 0)
-        keeps h1, the other one becomes h2.  One table per mask gives that
-        half-edge for every corner: c >> 1 where c's edge pairs along its
-        intervals, and for the edges of mask, whose corners pair along
-        their sides, h1 h2 h2 h1 on the four corners of an untwisted edge
-        and h1 h2 h1 h2 on those of a twisted one.  An edge is untwisted
-        exactly when the corners paired by its other pairing (intervals
-        for edges in mask, ribbon sides for the rest) have opposite roles.
+        _walk gives the rotations; the twists are read off its roles.  An
+        edge is untwisted exactly when the corners paired by its other
+        pairing (intervals for edges in mask, ribbon sides for the rest)
+        have opposite roles.
         """
         role, walks = self._walk(mask)
-        half = list(_HALVES[:len(role)])
-        for ei in _iter_bits(mask):
-            h = 2 * ei
-            half[4 * ei:4 * ei + 4] = ((h, h + 1, h + 1, h) if self._sign[ei] > 0
-                                       else (h, h + 1, h, h + 1))
-        walks = [list(map(half.__getitem__, walk)) for walk in walks]
         signs = []
         for ei in range(len(self.edges)):
             c = 4 * ei

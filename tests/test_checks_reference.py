@@ -284,8 +284,8 @@ def test_a_lost_split_in_the_subset_sweep_fails_the_battery(monkeypatch):
 
 def test_partial_duality_connectivity_labels_once_per_a(monkeypatch):
     # one component labelling of A in G per A, not one per pair (A, B):
-    # at most 2^8 labellings of G where the pairs number 3^8.  The
-    # partial duals' is_orientable calls _flips on G^A, never on G
+    # at most 2^8 labellings of G where the pairs number 3^8.  is_orientable
+    # runs its own parity union-find and calls no _flips
     calls = []
     flips = RibbonGraph._flips
 

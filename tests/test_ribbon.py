@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpoly import ribbon
 from qpoly.graphs import MultiGraph, _forest
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 from qpoly.textio import random_graph
@@ -299,7 +300,9 @@ def test_partial_dual_counts_do_not_build_the_vertex_labels():
     lambda walks: [walks[0] + walks[0][:1]] + walks[1:],
     lambda walks: [walks[0][1:]] + walks[1:],
     lambda walks: [walks[0][:1] + walks[0][:-1]] + walks[1:],
-], ids=["repeated", "missing", "repeated-in-place-of-one"])
+    # th() has six half-edges, indexed 0..5
+    lambda walks: [tuple(walks[0][:-1]) + (6,)] + walks[1:],
+], ids=["repeated", "missing", "repeated-in-place-of-one", "out-of-range"])
 def test_partial_dual_rejects_walks_that_miss_a_half_edge(monkeypatch, bad):
     dual_walks = RibbonGraph._dual_walks
 
@@ -564,10 +567,13 @@ def union_find_graphs():
     rng = random.Random(5)
     graphs = [random_graph(rng.randint(1, 7), rng.randint(6, 12),
                            Fraction(3, 10), seed=seed) for seed in range(1, 13)]
-    return graphs + random_twisted_graphs() + [
-        disconnected_with_bare_vertex(),
-        RibbonGraph([("v", ())], []),
-        RibbonGraph([("v", ()), ("w", ())], [])]
+    return graphs + random_twisted_graphs() + bare_vertex_graphs()
+
+
+def bare_vertex_graphs():
+    return [disconnected_with_bare_vertex(),
+            RibbonGraph([("v", ())], []),
+            RibbonGraph([("v", ()), ("w", ())], [])]
 
 
 def test_component_counts_agree_on_random_masks():
@@ -582,6 +588,66 @@ def test_component_counts_agree_on_random_masks():
             assert g.components(mask) == c
             assert mg.components(mask) == c
             assert len(g.restrict(mask).split_components()) == c
+
+
+def flips_by_search(g, mask):
+    """_flips by depth-first search over adjacency lists: each vertex
+    takes its flip across the edge that first reaches it, and the first
+    vertex of each component keeps +1 and numbers it."""
+    adj = [[] for _ in range(g.n_vertices)]
+    for ei, (a, b) in enumerate(g._ends):
+        if (mask >> ei) & 1:
+            adj[a].append((b, g._sign[ei]))
+            adj[b].append((a, g._sign[ei]))
+    flip = [0] * len(adj)
+    comp = [0] * len(adj)
+    n = 0
+    for start in range(len(adj)):
+        if flip[start]:
+            continue
+        flip[start], comp[start] = 1, n
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y, s in adj[x]:
+                if not flip[y]:
+                    flip[y], comp[y] = flip[x] * s, n
+                    stack.append(y)
+        n += 1
+    return flip, comp
+
+
+def orientable_by_search(g, mask):
+    flip, _ = flips_by_search(g, mask)
+    return all(g._sign[ei] * flip[a] * flip[b] > 0
+               for ei, (a, b) in enumerate(g._ends) if (mask >> ei) & 1)
+
+
+def test_parity_union_find_matches_the_search():
+    """_flips and is_orientable run one parity union-find: on a spanning
+    forest the flips are the search's, since the forest fixes them, and
+    on every subgraph the components and the verdict are."""
+    rng = random.Random(31)
+    graphs = ([make() for make in FIXTURES.values()] + random_twisted_graphs()
+              + bare_vertex_graphs())
+    draws = []
+    for seed in range(1, 25):
+        v = rng.randint(1, 6)
+        draws.append(random_graph(v, rng.randint(max(v - 1, 1), 12),
+                                  Fraction(3, 10), seed=seed))
+    twisted = 0
+    for g, every in [(g, True) for g in graphs] + [(g, False) for g in draws]:
+        labels = g.edge_labels
+        forest = _forest(g, sorted(range(g.n_edges), key=labels.__getitem__))
+        assert g._flips(forest) == flips_by_search(g, forest), g
+        masks = (all_masks(g) if every else
+                 [rng.randrange(g.full_mask + 1) for _ in range(20)])
+        for mask in masks:
+            assert g._flips(mask)[1] == flips_by_search(g, mask)[1], (g, mask)
+            orientable = orientable_by_search(g, mask)
+            assert g.is_orientable(mask) is orientable, (g, mask)
+            twisted += not orientable
+    assert twisted > 100
 
 
 def kruskal_by_search(g, order):
@@ -718,6 +784,33 @@ def test_equal_switching_forms_have_equal_profiles():
                     assert gh.subgraph_profile() == other.subgraph_profile(), (g, h, ei)
                     equal += 1
     assert equal > 0
+
+
+def cyclic_min_of_all_rotations(seq):
+    seq = tuple(seq)
+    return min((seq[i:] + seq[:i] for i in range(len(seq))), default=seq)
+
+
+def test_cyclic_min_matches_every_rotation(monkeypatch):
+    """_cyclic_min tries only the rotations that start at the least
+    element; a one-vertex word holds every label twice, so the least one
+    starts two candidates."""
+    rng = random.Random(41)
+    words = [(), ("a",), ("b", "a"), ("a", "b", "a", "b"), (1, 1, 1)]
+    for _ in range(500):
+        labels = ["e%d" % i for i in range(1, rng.randint(1, 9))]
+        word = labels + labels if rng.random() < 0.7 else labels + labels[:1]
+        rng.shuffle(word)
+        words.append(tuple(word))
+    for word in words:
+        assert ribbon._cyclic_min(word) == cyclic_min_of_all_rotations(word), word
+
+    def forms(g):
+        return [(h.switching_form(), hash(h)) for h in map(g.partial_dual, all_masks(g))]
+
+    got = [forms(g) for g in PARTIAL_DUAL_GRAPHS]
+    monkeypatch.setattr(ribbon, "_cyclic_min", cyclic_min_of_all_rotations)
+    assert got == [forms(g) for g in PARTIAL_DUAL_GRAPHS]
 
 
 @st.composite
