@@ -35,11 +35,13 @@ come from one parity union-find (_parity): each vertex keeps its flip
 relative to its parent, and an edge whose ends are one class already is
 cleared or not by the product of the flips on the way to the root.
 
-_sweep is the one enumeration of the 2^e spanning subgraphs, read by the
-brute-force sums (invariants._tally), by subgraph_profile and so by the
-per-subset identities of the check battery, by the battery's
-partial-duality-connectivity (over the subsets of E - A, against G^A),
-and by quasi_tree_masks.  It decides the edges depth first, highest
+_sweep is the one enumeration of the 2^e spanning subgraphs, read by
+subgraph_profile and so by the per-subset identities of the check
+battery, by the battery's partial-duality-connectivity (over the subsets
+of E - A, against G^A), by quasi_tree_masks, and by the brute-force sums
+(invariants._tally) up to nine marked edges; above that the sums count
+the same tally by _frontier, which merges the subsets that the
+undecided edges cannot tell apart.  It decides the edges depth first, highest
 first and each left out before taken in, so the subsets F come
 ascending.  Left out of F, an edge joins
 its ends in a rollback union-find of the dual cellulation G* (where the
@@ -52,6 +54,16 @@ slice and attachment intervals from its level, fixed before the sweep
 starts; only _splice, bound once per sweep, is still a call.
 boundary_components, genus_s and the partial duals keep the full walk,
 which the battery and the tests compare with the sweep.
+
+_frontier is a frontier dynamic program after Sekine, Imai and Tani: it
+decides the marked edges in a given order and keeps, per state, the
+counts of the subsets of the decided edges that reach it.  A state is
+the class labels of the frontier vertices of G and of G*, and those of
+the frontier corners, where a class is one open path of the corner walk;
+each of the three parts changes by _move, which joins pairs of
+positions and counts the unions and the pairs already one class (a
+closed circle).  Its cost follows the number of states, which the
+frontier's width bounds, not 2^e.
 
 Subsets of edges are bitmasks in edge-declaration order throughout, and
 graphs are capped at 64 edges.  All values are immutable once built;
@@ -163,6 +175,169 @@ def _sweep(g, marked, d, leaf):
         step = level(ei, step)
     # bc of the empty subset: one circle per vertex disc
     step(0, 0, g.n_vertices, c_d, 0 if link is None else g.n_vertices)
+
+
+class _Moves(dict):
+    """One part's moves at one step of _frontier, memoised by its state:
+    state -> (state with the edge left out, its key shift, state with it
+    taken in, its key shift)."""
+
+    __slots__ = ("move",)
+
+    def __init__(self, move):
+        self.move = move
+
+    def __missing__(self, state):
+        moves = self[state] = self.move(state)
+        return moves
+
+
+# a part that no step changes: G* without d, the corners of a MultiGraph
+_STILL = {(): ((), 0, (), 0)}
+
+
+def _move(fresh, keep, out, into, union, closure):
+    """A part's move: the state labels the classes of its frontier, the
+    items entering it at this step are appended with labels len(state) +
+    fresh, and each branch (out: the edge left out, into: taken in) joins
+    the pairs of positions it lists, shifting the key by union where two
+    classes merge and by closure where a pair is one class already; then
+    the positions in keep stay, their labels renumbered by first
+    occurrence."""
+    def move(state):
+        n = len(state)
+        labels = [*state, *[n + f for f in fresh]]
+        moves = ()
+        for pairs in (out, into):
+            joined, shift = labels, 0
+            for a, b in pairs:
+                la, lb = joined[a], joined[b]
+                if la == lb:
+                    shift += closure
+                else:
+                    shift += union
+                    joined = [la if x == lb else x for x in joined]
+            first = {}
+            moves += (tuple([first.setdefault(joined[j], len(first))
+                             for j in keep]), shift)
+        return moves
+    return move
+
+
+def _vertex_moves(ends, joined_in, shift):
+    """The moves of a graph's vertex classes when step i decides the edge
+    with ends[i]: its ends are joined when it is taken in (joined_in) or
+    left out.  A vertex is on the frontier from its first step to its
+    last."""
+    last = {v: i for i, pair in enumerate(ends) for v in pair}
+    steps, front = [], []
+    for i, pair in enumerate(ends):
+        enter = [v for v in dict.fromkeys(pair) if v not in front]
+        work = front + enter
+        join = [tuple(map(work.index, pair))]
+        keep = [j for j, v in enumerate(work) if last[v] > i]
+        out, into = ((), join) if joined_in else (join, ())
+        steps.append(_Moves(_move(range(len(enter)), keep, out, into,
+                                  shift, 0)))
+        front = [work[j] for j in keep]
+    return steps
+
+
+def _corner_moves(g, marked, order):
+    """The moves of the corner walk's open paths.  With the unmarked edges
+    along their attachment intervals, each corner of a marked edge has a
+    fixed partner: the corner its disc arc reaches past the intervals.
+    Before step i the frontier holds the corners of the undecided edges
+    whose partner is decided, and a path's class its two ends.  A step
+    brings in each corner of its edge not on the frontier, with its
+    partner, as one class, joins its corners by their intervals or their
+    ribbon sides, and counts each pair already one class as a closed
+    circle."""
+    arc, sides = g._arc, g._sides
+    partner = {}
+    for ei in order:
+        for c in range(4 * ei, 4 * ei + 4):
+            p = arc[c]
+            while not marked >> (p >> 2) & 1:
+                p = arc[p ^ 1]
+            partner[c] = p
+    steps, front = [], []
+    for ei in order:
+        c = 4 * ei
+        enter = {}
+        for x in range(c, c + 4):
+            if x not in front and x not in enter:
+                enter[x] = enter[partner[x]] = len(enter) // 2
+        work = front + list(enter)
+        s = sides[ei]
+        out, into = ((c, c + 1), (c + 2, c + 3)), ((c, s[0]), (c + 1, s[1]))
+        keep = [j for j, x in enumerate(work) if x >> 2 != ei]
+        steps.append(_Moves(_move(
+            tuple(enter.values()), keep,
+            [tuple(map(work.index, pair)) for pair in out],
+            [tuple(map(work.index, pair)) for pair in into], 0, 1 << 24)))
+        front = [work[j] for j in keep]
+    return steps
+
+
+def _frontier(g, marked, d, order):
+    """{(|F|, c_g(F), c_d(E-F), bc_g(F)): count} over the submasks F of
+    marked, as _sweep's leaves tally them, with order listing the marked
+    edges: a frontier dynamic program after Sekine, Imai and Tani
+    ("Computing the Tutte polynomial of a graph of moderate size", ISAAC
+    1995), with the corner walk in its state.
+
+    It decides the edges in order and merges the subsets of the decided
+    edges that agree on what the undecided ones can still change: the
+    classes of G's frontier vertices, those of G*'s (where the unmarked
+    edges are joined first), and how the open paths of the corner walk
+    pair the frontier corners.  Each state keeps {packed (|F|, unions in
+    G, unions in G*, closed circles): count}; a step looks up the three
+    parts' moves, memoised apart, and shifts the packed keys of each
+    branch by one constant.  Each field stays below 2^8, as a graph has
+    at most 64 edges.  bc(F) is bc(empty) = v(G), less the circles closed
+    at F = empty, plus those closed at F.  Reads the fields that _sweep
+    reads, and _arc and _sides of a RibbonGraph g."""
+    still = [_STILL] * len(order)
+    g_moves = _vertex_moves([g._ends[ei] for ei in order], True, 1 << 8)
+    d_moves, c_moves, c_d = still, still, 0
+    if d is not None:
+        root = list(range(d.n_vertices))
+        c_d = d.n_vertices - sum(_join(root, d._ends[ei]) >= 0
+                                 for ei in _iter_bits(g.full_mask ^ marked))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+        ends = [tuple(map(find, d._ends[ei])) for ei in order]
+        d_moves = _vertex_moves(ends, False, 1 << 16)
+    ribbon = isinstance(g, RibbonGraph)
+    if ribbon:
+        c_moves = _corner_moves(g, marked, order)
+    states = {((), (), ()): {0: 1}}
+    for gm, dm, cm in zip(g_moves, d_moves, c_moves):
+        nxt = {}
+        for (sg, sd, sc), acc in states.items():
+            g_out, g_o, g_in, g_i = gm[sg]
+            d_out, d_o, d_in, d_i = dm[sd]
+            c_out, c_o, c_in, c_i = cm[sc]
+            for state, shift in (((g_out, d_out, c_out), g_o + d_o + c_o),
+                                 ((g_in, d_in, c_in), 1 + g_i + d_i + c_i)):
+                merged = nxt.get(state)
+                if merged is None:
+                    nxt[state] = {key + shift: n for key, n in acc.items()}
+                else:
+                    for key, n in acc.items():
+                        key += shift
+                        merged[key] = merged.get(key, 0) + n
+        states = nxt
+    tally = states[(), (), ()]
+    nv = g.n_vertices
+    empty = next(key for key in tally if not key & 255)
+    bc = nv - (empty >> 24) if ribbon else 0
+    return {(key & 255, nv - (key >> 8 & 255), c_d - (key >> 16 & 255),
+             bc + (key >> 24)): n for key, n in tally.items()}
 
 
 class RibbonGraph:

@@ -10,7 +10,8 @@ the comparison past that cap; 14 edges is the shape of the benchmark's
 dense workload.  Pinned sparse graphs with six to eight vertices do the
 same where many minors of the expansion have both bridges and a core,
 and one graph with 93,560 quasi-trees checks the Krushkal expansion
-alone.
+alone.  Two graphs with 20 and 22 edges, which the brute sums reach only
+by the frontier program, check all four kinds.
 """
 
 import random
@@ -117,6 +118,17 @@ def test_brute_equals_quasitree_on_sparse_draws(v, e, twist, seed):
         for kind in kinds:
             assert compute_polynomial(emb, order, kind, "quasitree") \
                 == brute[kind], (order, kind)
+
+
+@pytest.mark.parametrize("v, e, twist", [(14, 22, 0), (8, 20, Fraction(3, 10))])
+def test_brute_equals_quasitree_past_the_sweep(v, e, twist):
+    """2^20 and more subsets: the brute sums run the frontier program."""
+    emb = EmbeddedGraph(random_graph(v, e, twist, seed=7))
+    order = list(emb.cellulation.edge_labels)
+    random.Random(e).shuffle(order)
+    for kind in ["krushkal", "tutte", "br", "lv"]:
+        assert compute_polynomial(emb, order, kind, "brute") \
+            == compute_polynomial(emb, order, kind, "quasitree"), kind
 
 
 def test_krushkal_expansion_on_many_quasi_trees():

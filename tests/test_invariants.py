@@ -1,8 +1,10 @@
 """Polynomial oracles: Krushkal, Tutte, Bollobas-Riordan, Las Vergnas."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpoly.graphs import MultiGraph
 from qpoly.invariants import (
@@ -13,11 +15,13 @@ from qpoly.invariants import (
     specialize,
     tutte,
 )
-from qpoly.invariants import _submasks, _tally
+from qpoly import invariants as invariants_mod
+from qpoly.invariants import _FRONTIER_ABOVE, _breadth_first, _submasks, _tally
 from qpoly.laurent import LaurentPoly, parse_poly
 from qpoly.matroid import bond_matroid, cycle_matroid
 from qpoly.quasitrees import quasi_tree_masks
-from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _sweep
+from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _frontier, _sweep
+from qpoly.textio import random_graph
 
 from fixture_graphs import (
     FIXTURES,
@@ -395,3 +399,79 @@ def test_sweep_leaves_in_call_order_match_per_mask_counts():
                              bc[f] if ribbon else 0) for f in sorted(c)]
                     assert leaves == want, (g, h, marked, dual)
     assert proper >= len(graphs)
+
+
+# ----------------------------------------------------------------------
+# the frontier program against the subset sweep
+
+
+def sweep_tally(g, marked, d=None):
+    """The tally of _sweep's leaves: the reference for ribbon._frontier."""
+    acc = {}
+
+    def leaf(f, *key):
+        acc[key] = acc.get(key, 0) + 1
+
+    _sweep(g, marked, d, leaf)
+    return acc
+
+
+def marked_edges(marked, rng=None):
+    """The edges of a marking, ascending or shuffled by rng."""
+    order = [ei for ei in range(marked.bit_length()) if marked >> ei & 1]
+    if rng is not None:
+        rng.shuffle(order)
+    return order
+
+
+def test_frontier_matches_the_sweep():
+    # each marking under the breadth-first order and a shuffled one, g a
+    # RibbonGraph or its underlying MultiGraph, each with and without d
+    rng = random.Random(41)
+    graphs = [make() for make in FIXTURES.values()]
+    graphs += random_twisted_graphs()
+    graphs.append(disconnected_with_bare_vertex())
+    graphs.append(RibbonGraph([("v", ()), ("w", ())], []))
+    graphs.append(RibbonGraph(list(th().vertices) + [("x", ())], th().edges))
+    for g in graphs:
+        d = g.dual()
+        for marked in markings(g, rng):
+            for h in (g, g.underlying_graph()):
+                for dual in (None, d):
+                    want = sweep_tally(h, marked, dual)
+                    for order in (_breadth_first(h, marked),
+                                  marked_edges(marked, rng)):
+                        assert _frontier(h, marked, dual, order) == want, \
+                            (g, h, marked, dual, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 7), st.sampled_from([0, 3, 10]),
+       st.integers(1, 2 ** 32), st.randoms(use_true_random=False))
+def test_frontier_does_not_depend_on_the_order(v, extra, twist, seed, rng):
+    g = random_graph(v, v - 1 + extra, Fraction(twist, 10), seed=seed)
+    marked = rng.randrange(g.full_mask + 1)
+    d = g.dual()
+    for h in (g, g.underlying_graph()):
+        assert _frontier(h, marked, d, marked_edges(marked, rng)) \
+            == sweep_tally(h, marked, d), (g, h, marked)
+
+
+@pytest.mark.parametrize("n_marked", [9, 10, 11])
+def test_tally_takes_the_frontier_above_the_cutoff(monkeypatch, n_marked):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _frontier(*args)
+
+    monkeypatch.setattr(invariants_mod, "_frontier", counted)
+    g = random_graph(4, 12, Fraction(3, 10), seed=n_marked)
+    d = g.dual()
+    marked = sum(1 << ei for ei in random.Random(n_marked).sample(range(12), n_marked))
+    for h in (g, g.underlying_graph()):
+        for dual in (None, d):
+            assert _tally(h, marked, dual) == sweep_tally(h, marked, dual)
+    assert len(calls) == (4 if n_marked > _FRONTIER_ABOVE else 0)
+    assert all(sorted(order) == marked_edges(marked)
+               for _, _, _, order in calls)
