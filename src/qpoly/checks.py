@@ -11,7 +11,7 @@ identities, partial-dual-composition and partial-duality-connectivity,
 keep their sample sizes in their bodies, and sample deterministically.
 The per-subset identities read c, bc, s and n off
 RibbonGraph.subgraph_profile() of G and of G*, each computed once per
-battery by ribbon._sweep, the engine of the brute-force sums up to nine
+battery by ribbon._sweep, the engine of the brute-force sums up to eight
 marked edges.
 partial-duality-connectivity reads c(G - B) and c(G^A - B) for every
 subset B of E - A off one such sweep per A, of the graph G/A on the

@@ -9,9 +9,11 @@ oracles.
 Each oracle is one tally of (|F|, c_G(F), c_G*(E-F), bc_G(F)) over the
 submasks F of the marked edges, mapped to doubled exponent vectors, and
 builds its polynomial once.  Two engines count the tally: the subset
-sweep ribbon._sweep up to _FRONTIER_ABOVE = 9 marked edges, and above
+sweep ribbon._sweep up to _FRONTIER_ABOVE = 8 marked edges, and above
 that the frontier program ribbon._frontier, which merges the subsets of
-equal frontier state and so reaches past e = 30.  The
+equal frontier state and so reaches past e = 30.  It decides the edges
+in _narrowest_first order, each step taking the edge that leaves the
+fewest frontier vertices and open corners.  The
 Krushkal sum reads all four counts: the regular neighbourhoods of F in G
 and of E-F in G* share one boundary, so bc_G*(E-F) = bc_G(F), and s(F)
 and s_perp(F) both follow.  The Las Vergnas sum takes r(F) = v - c_G(F) and
@@ -37,7 +39,7 @@ from fractions import Fraction
 from .graphs import MultiGraph
 from .laurent import LaurentPoly
 from .ribbon import (EmbeddedGraph, RibbonError, RibbonGraph, _frontier,
-                     _iter_bits, _sweep)
+                     _iter_bits, _partners, _sweep)
 
 __all__ = [
     "PolyKind",
@@ -69,41 +71,75 @@ def _submasks(mask):
 # _tally counts by ribbon._frontier above this many marked edges and by
 # ribbon._sweep up to it.  The crossover: on 21 random_graph draws per
 # edge count (twist 3/10; the Krushkal, Bollobas-Riordan and Tutte
-# tallies of each), the sweep took 0.50 times the frontier's time in the
-# median at 7 edges, 0.76 at 8, 1.12 at 9, 2.09 at 10 and 4.19 at 12
-# (Python 3.11, best of three)
-_FRONTIER_ABOVE = 9
+# tallies of each), the sweep took 0.57 times the frontier's time, its
+# order included, in the median at 7 edges, 0.93 at 8, 1.37 at 9, 2.37
+# at 10 and 6.1 at 12 (Python 3.11, best of three)
+_FRONTIER_ABOVE = 8
 
 
-def _breadth_first(g, marked):
-    """The marked edges in breadth-first order over the marked subgraph:
-    from each vertex in turn that no search has reached yet, each reached
-    vertex lists its marked edges not listed yet, by edge index."""
-    incident = [[] for _ in range(g.n_vertices)]
-    for ei in _iter_bits(marked):
-        for v in set(g._ends[ei]):
-            incident[v].append(ei)
-    order, seen = {}, set()
-    for start in range(g.n_vertices):
-        queue = [] if start in seen else [start]
-        seen.update(queue)
-        for v in queue:
-            for ei in incident[v]:
-                order[ei] = None
-                for w in g._ends[ei]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-    return list(order)
+def _narrowest_first(g, marked):
+    """The marked edges in the order _frontier decides them: each step
+    takes the undecided edge that leaves the fewest frontier items, the
+    lowest index among equals.  The items are the vertices of g with both
+    decided and undecided edges and, when g is a RibbonGraph, the open
+    corners: those of the undecided edges whose partner (ribbon._partners)
+    is on a decided edge.
+
+    score[e] is the change in the item count if e goes next.  Its corner
+    part is the number of corners of other undecided edges partnered on e
+    less the number of e's corners partnered on decided edges, so deciding
+    e lowers the score of an undecided edge by 2 for each of e's corners
+    partnered on it.  Its vertex part sums, over e's ends v, [v has
+    another undecided edge] - [v has a decided edge]."""
+    ends = {ei: set(g._ends[ei]) for ei in _iter_bits(marked)}
+    undecided_at = [[] for _ in range(g.n_vertices)]
+    for ei, pair in ends.items():
+        for v in pair:
+            undecided_at[v].append(ei)
+    # score holds the undecided edges, ascending, so min takes the lowest
+    # index among equals
+    score = dict.fromkeys(ends, 0)
+    for edges in undecided_at:
+        if len(edges) > 1:
+            for f in edges:
+                score[f] += 1
+    ribbon = isinstance(g, RibbonGraph)
+    if ribbon:
+        partner = _partners(g, marked)
+        for c, p in partner.items():
+            if c >> 2 != p >> 2:
+                score[p >> 2] += 1
+    reached = [False] * g.n_vertices
+    order = []
+    while score:
+        ei = min(score, key=score.__getitem__)
+        del score[ei]
+        order.append(ei)
+        if ribbon:
+            for c in range(4 * ei, 4 * ei + 4):
+                f = partner[c] >> 2
+                if f in score:
+                    score[f] -= 2
+        for v in ends[ei]:
+            # the other undecided edges at v: the first term falls when
+            # one of them is left, the second rises at v's first decision
+            others = undecided_at[v]
+            others.remove(ei)
+            drop = (len(others) == 1) + (not reached[v])
+            if drop:
+                for f in others:
+                    score[f] -= drop
+            reached[v] = True
+    return order
 
 
 def _tally(g, marked, d=None):
     """{(|F|, c_g(F), c_d(E-F), bc_g(F)): count} over the submasks F of
-    marked, with the same g and d: from ribbon._frontier, in breadth-first
-    order, above _FRONTIER_ABOVE marked edges, else from the leaves of
-    ribbon._sweep."""
+    marked, with the same g and d: from ribbon._frontier, in
+    _narrowest_first order, above _FRONTIER_ABOVE marked edges, else from
+    the leaves of ribbon._sweep."""
     if marked.bit_count() > _FRONTIER_ABOVE:
-        return _frontier(g, marked, d, _breadth_first(g, marked))
+        return _frontier(g, marked, d, _narrowest_first(g, marked))
     acc = {}
 
     def leaf(f, *key):

@@ -39,7 +39,7 @@ _sweep is the one enumeration of the 2^e spanning subgraphs, read by
 subgraph_profile and so by the per-subset identities of the check
 battery, by the battery's partial-duality-connectivity (over the subsets
 of E - A, against G^A), by quasi_tree_masks, and by the brute-force sums
-(invariants._tally) up to nine marked edges; above that the sums count
+(invariants._tally) up to eight marked edges; above that the sums count
 the same tally by _frontier, which merges the subsets that the
 undecided edges cannot tell apart.  It decides the edges depth first, highest
 first and each left out before taken in, so the subsets F come
@@ -243,24 +243,31 @@ def _vertex_moves(ends, joined_in, shift):
     return steps
 
 
-def _corner_moves(g, marked, order):
-    """The moves of the corner walk's open paths.  With the unmarked edges
-    along their attachment intervals, each corner of a marked edge has a
-    fixed partner: the corner its disc arc reaches past the intervals.
-    Before step i the frontier holds the corners of the undecided edges
-    whose partner is decided, and a path's class its two ends.  A step
-    brings in each corner of its edge not on the frontier, with its
-    partner, as one class, joins its corners by their intervals or their
-    ribbon sides, and counts each pair already one class as a closed
-    circle."""
-    arc, sides = g._arc, g._sides
-    partner = {}
-    for ei in order:
+def _partners(g, marked):
+    """{corner: partner} over the corners of the marked edges of a
+    RibbonGraph g.  With the unmarked edges along their attachment
+    intervals, each such corner has a fixed partner: the corner its disc
+    arc reaches past the intervals.  The pairing is an involution."""
+    arc, partner = g._arc, {}
+    for ei in _iter_bits(marked):
         for c in range(4 * ei, 4 * ei + 4):
-            p = arc[c]
-            while not marked >> (p >> 2) & 1:
-                p = arc[p ^ 1]
-            partner[c] = p
+            if c not in partner:
+                p = arc[c]
+                while not marked >> (p >> 2) & 1:
+                    p = arc[p ^ 1]
+                partner[c], partner[p] = p, c
+    return partner
+
+
+def _corner_moves(g, marked, order):
+    """The moves of the corner walk's open paths, each corner of a marked
+    edge paired with its _partners entry.  Before step i the frontier
+    holds the corners of the undecided edges whose partner is decided, and
+    a path's class its two ends.  A step brings in each corner of its edge
+    not on the frontier, with its partner, as one class, joins its corners
+    by their intervals or their ribbon sides, and counts each pair already
+    one class as a closed circle."""
+    sides, partner = g._sides, _partners(g, marked)
     steps, front = [], []
     for ei in order:
         c = 4 * ei

@@ -16,11 +16,12 @@ from qpoly.invariants import (
     tutte,
 )
 from qpoly import invariants as invariants_mod
-from qpoly.invariants import _FRONTIER_ABOVE, _breadth_first, _submasks, _tally
+from qpoly.invariants import _FRONTIER_ABOVE, _narrowest_first, _submasks, _tally
 from qpoly.laurent import LaurentPoly, parse_poly
 from qpoly.matroid import bond_matroid, cycle_matroid
 from qpoly.quasitrees import quasi_tree_masks
-from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _frontier, _sweep
+from qpoly.ribbon import (EmbeddedGraph, RibbonError, RibbonGraph, _frontier,
+                          _partners, _sweep)
 from qpoly.textio import random_graph
 
 from fixture_graphs import (
@@ -425,7 +426,7 @@ def marked_edges(marked, rng=None):
 
 
 def test_frontier_matches_the_sweep():
-    # each marking under the breadth-first order and a shuffled one, g a
+    # each marking under the narrowest-first order and a shuffled one, g a
     # RibbonGraph or its underlying MultiGraph, each with and without d
     rng = random.Random(41)
     graphs = [make() for make in FIXTURES.values()]
@@ -439,7 +440,7 @@ def test_frontier_matches_the_sweep():
             for h in (g, g.underlying_graph()):
                 for dual in (None, d):
                     want = sweep_tally(h, marked, dual)
-                    for order in (_breadth_first(h, marked),
+                    for order in (_narrowest_first(h, marked),
                                   marked_edges(marked, rng)):
                         assert _frontier(h, marked, dual, order) == want, \
                             (g, h, marked, dual, order)
@@ -457,7 +458,7 @@ def test_frontier_does_not_depend_on_the_order(v, extra, twist, seed, rng):
             == sweep_tally(h, marked, d), (g, h, marked)
 
 
-@pytest.mark.parametrize("n_marked", [9, 10, 11])
+@pytest.mark.parametrize("n_marked", [8, 9, 10, 11])
 def test_tally_takes_the_frontier_above_the_cutoff(monkeypatch, n_marked):
     calls = []
 
@@ -473,5 +474,83 @@ def test_tally_takes_the_frontier_above_the_cutoff(monkeypatch, n_marked):
         for dual in (None, d):
             assert _tally(h, marked, dual) == sweep_tally(h, marked, dual)
     assert len(calls) == (4 if n_marked > _FRONTIER_ABOVE else 0)
-    assert all(sorted(order) == marked_edges(marked)
-               for _, _, _, order in calls)
+    assert all(order == _narrowest_first(h, marked)
+               for h, _, _, order in calls)
+
+
+# ----------------------------------------------------------------------
+# the frontier program's edge order
+
+
+def frontier_width(g, marked, decided):
+    """The frontier items once the edges in decided are: the vertices with
+    decided and undecided marked edges, and for a RibbonGraph the corners
+    of the undecided edges partnered on decided ones, counted from scratch."""
+    undecided = [ei for ei in marked_edges(marked) if ei not in decided]
+    touched = [{v for ei in edges for v in g._ends[ei]}
+               for edges in (decided, undecided)]
+    width = len(touched[0] & touched[1])
+    if isinstance(g, RibbonGraph):
+        partner = _partners(g, marked)
+        width += sum(partner[c] >> 2 in decided
+                     for ei in undecided for c in range(4 * ei, 4 * ei + 4))
+    return width
+
+
+def narrowest_by_definition(g, marked):
+    """Each step takes the undecided edge whose decision leaves the
+    narrowest frontier, the lowest index among equals."""
+    order, rest = [], marked_edges(marked)
+    while rest:
+        best = min(rest, key=lambda ei: frontier_width(g, marked, {*order, ei}))
+        rest.remove(best)
+        order.append(best)
+    return order
+
+
+def test_narrowest_first_is_a_permutation_of_the_marked_edges():
+    g = disconnected_with_bare_vertex()
+    split = g.edge_mask(["e1", "e3"])
+    assert g.components(split) > g.components()
+    cases = [(th(), 0), (b1(), 1), (g, split), (g, g.full_mask),
+             (g.underlying_graph(), g.full_mask),
+             (th().underlying_graph(), th().full_mask)]
+    for h, marked in cases:
+        assert sorted(_narrowest_first(h, marked)) == marked_edges(marked), (h, marked)
+
+
+def test_narrowest_first_matches_its_definition():
+    rng = random.Random(43)
+    graphs = [make() for make in FIXTURES.values()]
+    graphs += random_twisted_graphs()
+    graphs.append(disconnected_with_bare_vertex())
+    for g in graphs:
+        for marked in markings(g, rng):
+            for h in (g, g.underlying_graph()):
+                assert _narrowest_first(h, marked) \
+                    == narrowest_by_definition(h, marked), (h, marked)
+
+
+def test_narrowest_first_on_one_vertex():
+    # one vertex, rotation a1 b1 a2 c1 c2 b2.  Breadth-first lists e1 e2
+    # e3 by index.  Each disc arc partners two corners; e3's halves sit
+    # side by side, so deciding e3 first opens only the corners of a2 and
+    # b2 beside them: 2 corners + the vertex = 3, where e1 or e2 first
+    # opens 4 + 1.  Next e1 and e2 each leave the other's 4 corners and
+    # the vertex open, and the tie goes to e1.
+    g = RibbonGraph([("v", ("a1", "b1", "a2", "c1", "c2", "b2"))],
+                    [("e1", ("a1", "a2"), "+"), ("e2", ("b1", "b2"), "+"),
+                     ("e3", ("c1", "c2"), "+")])
+    assert _narrowest_first(g, g.full_mask) == [2, 0, 1]
+    assert [frontier_width(g, g.full_mask, decided)
+            for decided in ({2}, {0}, {1}, {2, 0}, {2, 1})] == [3, 5, 5, 5, 5]
+
+
+@pytest.mark.parametrize("v, e, seed", [(6, 10, 1005), (2, 10, 1018), (1, 11, 1106)])
+def test_tally_matches_the_sweep_where_breadth_first_lost(v, e, seed):
+    # the draws on which the frontier program under breadth-first order
+    # was slower than the sweep; the Krushkal, Bollobas-Riordan and Tutte
+    # tallies of each
+    g = random_graph(v, e, Fraction(3, 10), seed=seed)
+    for h, d in ((g, g.dual()), (g, None), (g.underlying_graph(), None)):
+        assert _tally(h, g.full_mask, d) == sweep_tally(h, g.full_mask, d)
