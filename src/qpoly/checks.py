@@ -13,12 +13,17 @@ The per-subset identities read c, bc, s and n off
 RibbonGraph.subgraph_profile() of G and of G*, each computed once per
 battery by ribbon._sweep, the engine of the brute-force sums up to eight
 marked edges.
-partial-duality-connectivity reads c(G - B) and c(G^A - B) for every
-subset B of E - A off one such sweep per A, of the graph G/A on the
-classes of A against G^A.  The sweep reads both sides from their vertex
-counts and edge end pairs alone, so neither is built as a graph, and
-no G^A that it or partial-dual-counts reads builds its labelled
-vertices.
+partial-duality-connectivity first certifies each A in one linear
+pass (_same_classes): the classes of A in G^A, by a union-find of its
+A-edges, must match those of A in G one to one, the G^A vertex of each
+half-edge going to the class of its G vertex.  Then G - B and G^A - B
+are one multigraph on those classes for every subset B of E - A.  Only
+an A that the certificate fails is swept: c(G - B) and c(G^A - B) for
+every such B are read off one subset sweep of the graph G/A on the
+classes of A against G^A, which gives the verdict and the witness.  Both
+read G^A from its vertex count and edge end pairs alone, so no graph is
+built for G/A, and no G^A that it or partial-dual-counts reads builds
+its labelled vertices.
 
 dual-involution and partial-dual-composition compare ribbon graphs
 exactly, by RibbonGraph.switching_form(): a canonical form up to vertex
@@ -37,6 +42,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from types import SimpleNamespace
 
+from .graphs import _join
 from .invariants import (
     PolyKind,
     _submasks,
@@ -181,7 +187,7 @@ def _check_dual_involution(emb, order):
     d = emb.dual_cellulation
     if d.dual().switching_form() != g.switching_form():
         return ("FAIL", "dual(dual(G)) differs from G up to vertex flips")
-    link = g._link(0)[0]
+    link = g._link(0)
     bc = g.n_vertices + sum(g._splice(link, ei) for ei in range(g.n_edges))
     if d.n_vertices != bc or d.boundary_components() != g.n_vertices:
         return ("FAIL", "dual does not swap vertices with boundary components")
@@ -324,11 +330,34 @@ def _check_quasitree_partition(emb, order):
     return ("PASS", "")
 
 
+def _same_classes(g, a, comp, v, ends):
+    """Whether the classes of A in G^A, which has v vertices and the edge
+    end pairs ends, match those of A in G, labelled by comp, one to one:
+    as many classes, and one injective map from those of G^A to those of
+    G that sends the G^A vertex of every half-edge to the class of its G
+    vertex.  Then G - B and G^A - B are one multigraph on the classes
+    for every B in E - A, so c agrees on both for all of them."""
+    parent = list(range(v))
+    classes = v - sum(_join(parent, ends[ei]) >= 0 for ei in _iter_bits(a))
+    if classes != max(comp, default=-1) + 1:
+        return False
+    image = {}
+    for pair, g_pair in zip(ends, g._ends):
+        for x, u in zip(pair, g_pair):
+            while parent[x] != x:
+                x = parent[x]
+            if image.setdefault(x, comp[u]) != comp[u]:
+                return False
+    return len(set(image.values())) == len(image)
+
+
 def _check_partial_duality_connectivity(emb, order):
     # (G - B)^A = G^A - B, so c(G - B) = c(G^A - B) for every B in E - A.
-    # One sweep per A over the subsets F of E - A reads both sides: G/A
-    # has the classes of A in G as vertices and every edge of G, so its c
-    # on F is c(G - B) for B = (E - A) - F, and the c_d of G^A is
+    # A partial dual keeps each component, so _same_classes certifies
+    # each A of a correct G^A in one linear pass.  For an A that it does
+    # not certify, one sweep over the subsets F of E - A reads both sides:
+    # G/A has the classes of A in G as vertices and every edge of G, so
+    # its c on F is c(G - B) for B = (E - A) - F, and the c_d of G^A is
     # c(G^A - F).  The map F -> (E - A) - F reverses the ascending order
     # of the sweep, so the i-th c_d pairs with the (N-1-i)-th c.
     g = emb.cellulation
@@ -345,8 +374,10 @@ def _check_partial_duality_connectivity(emb, order):
             return ("SKIP", "every sampled A leaves more than 16 edges outside it")
     for a in amasks:
         v, _, _, _, ends = _partial_dual_facts(emb, a)
-        rest = full ^ a
         _, comp = g._flips(a)
+        if _same_classes(g, a, comp, v, ends):
+            continue
+        rest = full ^ a
         # _sweep reads only these fields of the two sides
         g_a = SimpleNamespace(n_vertices=max(comp, default=-1) + 1,
                               _ends=[(comp[u], comp[w]) for u, w in g._ends],

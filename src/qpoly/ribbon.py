@@ -25,8 +25,8 @@ half-edges add one circle each.  One walk over these cycles gives the
 boundary count bc(H), the vertices of the partial dual G^H (one per
 circle, its rotation the half-edges crossed), and so the vertex word of
 G^Q for a quasi-tree Q.  The walk writes those rotations itself, reading
-the half-edge crossed at each corner from a table built with the
-pairing, so partial_dual indexes its walks as they come.  Moving one
+the half-edge crossed at each corner from a table that it builds beside
+the pairing, so partial_dual indexes its walks as they come.  Moving one
 edge into H changes the pairing at its four corners only, so _splice
 finds the new bc by walking the one circle through them.
 
@@ -52,8 +52,10 @@ finds and the walk of one circle.  Each step runs its finds inline
 rather than through graphs._join, and reads its edge's end pairs, corner
 slice and attachment intervals from its level, fixed before the sweep
 starts; only _splice, bound once per sweep, is still a call.
-boundary_components, genus_s and the partial duals keep the full walk,
-which the battery and the tests compare with the sweep.
+boundary_components, and genus_s through it, counts the circles of the
+full walk in a loop of its own, which marks the corners it passes and
+writes no walk; the partial duals write theirs by _walk.  The battery
+and the tests compare both with the sweep.
 
 _frontier is a frontier dynamic program after Sekine, Imai and Tani: it
 decides the marked edges in a given order and keeps, per state, the
@@ -123,7 +125,7 @@ def _sweep(g, marked, d, leaf):
     parent = list(range(g.n_vertices))
     link = splice = d_parent = None
     if isinstance(g, RibbonGraph):
-        link, splice = g._link(0)[0], g._splice
+        link, splice = g._link(0), g._splice
     c_d = 0
     if d is not None:
         d_parent = list(range(d.n_vertices))
@@ -533,16 +535,24 @@ class RibbonGraph:
         """Trace every circle of the corner walk for F_mask.
 
         Returns (role, walks).  The walk follows the disc arcs and the
-        pairing link of _link(mask), which pairs the corners of the edges
-        in mask along their ribbon sides and the others along their
-        attachment intervals.  From the least corner of its circle on,
-        each walk is the tuple of the half-edges that _link's second table
-        gives at the corners where the circle leaves along link: the
-        rotation of that circle's vertex in the partial dual on mask.
-        role[c] is 1 at those corners and 2 where a circle enters along
-        link.
+        pairing _link(mask).  From the least corner of its circle on,
+        each walk is the tuple of the half-edges that the circle crosses
+        where it leaves a corner along the pairing: the rotation of that
+        circle's vertex in the partial dual on mask.  The ribbon side or
+        interval holding (h1, 0) keeps h1 there, the other one becomes
+        h2: corner c gives c >> 1 where c's edge pairs along its
+        intervals, and for the edges of mask h1 h2 h2 h1 on the four
+        corners of an untwisted edge and h1 h2 h1 h2 on those of a
+        twisted one.  role[c] is 1 at the corners where a circle leaves
+        along the pairing and 2 where it enters.
         """
-        link, half = self._link(mask)
+        link = self._link(mask)
+        half = list(_HALVES[:len(link)])
+        sign = self._sign
+        for ei in _iter_bits(mask):
+            h = 2 * ei
+            half[4 * ei:4 * ei + 4] = ((h, h + 1, h + 1, h) if sign[ei] > 0
+                                       else (h, h + 1, h, h + 1))
         arc = self._arc
         role = bytearray(len(arc))
         walks = []
@@ -561,28 +571,17 @@ class RibbonGraph:
         return role, walks
 
     def _link(self, mask):
-        """The corner pairing of F_mask, and the half-edge that a circle
-        of its walk crosses as it leaves each corner along the pairing.
-
-        The corners of the edges in mask pair along their ribbon sides,
-        the others along their attachment intervals.  The ribbon side or
-        interval holding (h1, 0) keeps h1 in the partial dual on mask, the
-        other one becomes h2: corner c gives c >> 1 where c's edge pairs
-        along its intervals, and for the edges of mask h1 h2 h2 h1 on the
-        four corners of an untwisted edge and h1 h2 h1 h2 on those of a
-        twisted one."""
+        """The corner pairing of F_mask: the corners of the edges in mask
+        pair along their ribbon sides, the others along their attachment
+        intervals."""
         link = list(self._intervals)
-        half = list(_HALVES[:len(link)])
-        sides, sign = self._sides, self._sign
+        sides = self._sides
         m = mask
         while m:
             ei = (m & -m).bit_length() - 1
             m &= m - 1
-            c, h = 4 * ei, 2 * ei
-            link[c:c + 4] = sides[ei]
-            half[c:c + 4] = ((h, h + 1, h + 1, h) if sign[ei] > 0
-                             else (h, h + 1, h, h + 1))
-        return link, half
+            link[4 * ei:4 * ei + 4] = sides[ei]
+        return link
 
     def _splice(self, link, ei):
         """Move edge ei into the subset that link pairs, and return the
@@ -607,9 +606,24 @@ class RibbonGraph:
         """Boundary circles of the ribbon neighbourhood of the subgraph.
 
         The circles of the corner walk described in the module docstring,
-        plus one for each vertex without half-edges.
+        plus one for each vertex without half-edges.  Only counted: the
+        walks that partial_dual reads are not written.
         """
-        return len(self._walk(self._norm_mask(edges))[1]) + self._bare
+        link = self._link(self._norm_mask(edges))
+        arc = self._arc
+        seen = bytearray(len(arc))
+        count = self._bare
+        for c0 in range(len(arc)):
+            if seen[c0]:
+                continue
+            count += 1
+            c = c0
+            while not seen[c]:
+                seen[c] = 1
+                c = link[c]
+                seen[c] = 1
+                c = arc[c]
+        return count
 
     def genus_s(self, edges=None):
         """s(F) = 2c(F) - v + e(F) - bc(F); twice the orientable genus of

@@ -14,11 +14,15 @@ them a vertex without edges.  component_labels_by_search() and
 count_by_search() are the suite's own component labelling and count, a
 breadth-first search independent of the package's union-find, and
 links() reads interleaving off a one-vertex word token by token.
+shifted_partial_dual() rigs RibbonGraph.partial_dual to dualize one edge
+too many, and recorded_sweeps() lists the subset sweeps of the check
+battery.
 """
 
 import random
 from fractions import Fraction
 
+from qpoly import checks
 from qpoly.ribbon import RibbonGraph
 from qpoly.textio import random_graph
 
@@ -109,3 +113,25 @@ def random_twisted_graphs():
     rng = random.Random(17)
     return [random_graph(rng.randint(1, 6), rng.randint(5, 10),
                          Fraction(3, 10), seed=seed) for seed in range(1, 13)]
+
+
+def shifted_partial_dual(partial_dual):
+    """partial_dual, but for A with |A| % 3 == 1 and A != E the partial
+    dual on A and the lowest edge of E - A."""
+    def rigged(self, edges):
+        a = self._norm_mask(edges)
+        rest = self.full_mask ^ a
+        if rest and a.bit_count() % 3 == 1:
+            a |= rest & -rest
+        return partial_dual(self, a)
+    return rigged
+
+
+def recorded_sweeps(monkeypatch):
+    """The free-edge masks of the subset sweeps that the check battery
+    runs from now on, in order."""
+    sweeps = []
+    sweep = checks._sweep
+    monkeypatch.setattr(checks, "_sweep", lambda g, rest, *args:
+                        sweeps.append(rest) or sweep(g, rest, *args))
+    return sweeps

@@ -3,9 +3,10 @@ every subset on its own.  For the five per-subset identities that is a
 union-find and a corner walk of G per subset, and of G* where the
 identity reads the dual, instead of the two subgraph profiles, filled by
 the subset sweep, that run_checks shares; for partial-duality-
-connectivity, two union-finds per pair (A, B) instead of one subset
-sweep per A.  Verdicts and FAIL details must agree, also when a count is
-rigged to be wrong."""
+connectivity, two union-finds per pair (A, B) instead of the class
+certificate and the subset sweep of each A that it does not certify.
+Verdicts and FAIL details must agree, also when a count is rigged to be
+wrong."""
 
 import itertools
 import random
@@ -23,6 +24,8 @@ from fixture_graphs import (
     FIXTURES,
     disconnected_with_bare_vertex,
     random_twisted_graphs,
+    recorded_sweeps,
+    shifted_partial_dual,
 )
 
 
@@ -197,18 +200,6 @@ def cross_dual_ribbon_sides(emb):
     d._sides = tuple((s[1], s[0], s[3], s[2]) for s in d._sides)
 
 
-def shifted_partial_dual(partial_dual):
-    """partial_dual, but for A with |A| % 3 == 1 and A != E the partial
-    dual on A and the lowest edge of E - A."""
-    def rigged(self, edges):
-        a = self._norm_mask(edges)
-        rest = self.full_mask ^ a
-        if rest and a.bit_count() % 3 == 1:
-            a |= rest & -rest
-        return partial_dual(self, a)
-    return rigged
-
-
 def swapped_partial_dual(partial_dual):
     """partial_dual, but for A with |A| % 3 == 1 the two highest edges of
     E - A trade ends and twists in the result: the first B that holds one
@@ -280,6 +271,82 @@ def test_a_lost_split_in_the_subset_sweep_fails_the_battery(monkeypatch):
                checks_mod.run_checks(emb, emb.cellulation.edge_labels)}
     assert results["boundary-duality"] == "FAIL", results
     assert results["euler-genus"] == "FAIL", results
+
+
+def test_the_class_certificate_decides_every_a(monkeypatch):
+    # the classes of A in G and in G^A match one to one for every A, so a
+    # correct program never falls back to the sweep
+    sweeps = recorded_sweeps(monkeypatch)
+    for emb in DOCUMENTS:
+        if emb.cellulation.n_edges > 8:
+            continue
+        status, _ = checks_mod._check_partial_duality_connectivity(
+            emb, emb.cellulation.edge_labels)
+        assert (status, sweeps) == ("PASS", []), emb
+
+
+def non_a_loop(h, a):
+    """The index and the vertex of the first edge of h outside a that
+    is a loop."""
+    ei = next(ei for ei, (x, y) in enumerate(h._ends)
+              if x == y and not a >> ei & 1)
+    return ei, h._ends[ei][0]
+
+
+def moved_loop(h, a):
+    # the loop moves onto the first vertex of another class of a: every
+    # c(h - B) stays as it was
+    ei, x = non_a_loop(h, a)
+    _, comp = h._flips(a)
+    y = next(y for y in range(h.n_vertices) if comp[y] != comp[x])
+    loop = h.edges[ei][1]
+    return RibbonGraph([(name, tuple(hl for hl in rot if hl not in loop)
+                         + (loop if i == y else ()))
+                        for i, (name, rot) in enumerate(h.vertices)], h.edges)
+
+
+def extra_bare_vertex(h, a):
+    # one more class: every c(h - B) rises by one
+    return RibbonGraph(list(h.vertices) + [("extra", ())], h.edges)
+
+
+def loop_end_on_bare_vertex(h, a):
+    # one end of the loop moves onto a bare vertex, which that joins to
+    # the loop's class: as many classes, but two of them map to one
+    ei, _ = non_a_loop(h, a)
+    half = h.edges[ei][1][1]
+    return RibbonGraph([(name, (half,) if not rot else
+                         tuple(hl for hl in rot if hl != half))
+                        for name, rot in h.vertices], h.edges)
+
+
+@pytest.mark.parametrize("rig,status", [
+    (moved_loop, "PASS"),
+    (extra_bare_vertex, "FAIL"),
+    (loop_end_on_bare_vertex, "FAIL"),
+])
+def test_a_failed_certificate_leaves_the_verdict_to_the_sweep(
+        monkeypatch, rig, status):
+    # a G^A, on one A, whose classes do not match those of G is swept,
+    # and the sweep decides as the reference loops do
+    g = random_graph(4, 8, Fraction(3, 10), seed=3)
+    g = RibbonGraph(list(g.vertices) + [("x", ())], g.edges)
+    emb = EmbeddedGraph(g)
+    a = g.edge_mask(("e1", "e2"))
+    partial_dual = RibbonGraph.partial_dual
+
+    def rigged(self, edges):
+        h = partial_dual(self, edges)
+        return rig(h, a) if self is g and self._norm_mask(edges) == a else h
+
+    monkeypatch.setattr(RibbonGraph, "partial_dual", rigged)
+    v, _, _, _, ends = checks_mod._partial_dual_facts(emb, a)
+    assert not checks_mod._same_classes(g, a, g._flips(a)[1], v, ends)
+    sweeps = recorded_sweeps(monkeypatch)
+    result = checks_mod._check_partial_duality_connectivity(emb, g.edge_labels)
+    assert result[0] == status
+    assert result == reference_partial_duality_connectivity(emb, g.edge_labels)
+    assert sweeps == [g.full_mask ^ a]
 
 
 def test_partial_duality_connectivity_labels_once_per_a(monkeypatch):

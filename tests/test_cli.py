@@ -15,7 +15,13 @@ from qpoly.cli import main
 from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph
 from qpoly.textio import parse, random_graph, serialize
 
-from fixture_graphs import FIXTURES, random_twisted_graphs, t1
+from fixture_graphs import (
+    FIXTURES,
+    random_twisted_graphs,
+    recorded_sweeps,
+    shifted_partial_dual,
+    t1,
+)
 
 M1_DOC = "vertex v: a1 a2\nedge e1: a1 a2 -\n"
 T1_DOC = "vertex v: a1 b1 a2 b2\nedge ea: a1 a2 +\nedge eb: b1 b2 +\n"
@@ -165,8 +171,10 @@ def test_check_battery_completes_above_16_edges():
 
 
 def test_partial_duality_connectivity_drops_the_a_past_16_free_edges(monkeypatch):
-    # one sweep per A costs 2^|E - A|: at e = 64 every sampled A leaves
-    # more than 16 edges outside it, at e = 24 one of the 16 does
+    # a sweep costs 2^|E - A|: at e = 64 every sampled A leaves more than
+    # 16 edges outside it, at e = 24 one of the 16 does.  The class
+    # certificate decides the other 15 without a sweep; with the
+    # certificate refused, each of them is swept within 16 free edges
     emb = EmbeddedGraph(random_graph(20, 64, Fraction(3, 10), seed=8))
     start = time.perf_counter()
     results = checks_mod.run_checks(emb, emb.cellulation.edge_labels)
@@ -174,14 +182,26 @@ def test_partial_duality_connectivity_drops_the_a_past_16_free_edges(monkeypatch
     assert all(status != "FAIL" for _, status, _ in results)
     assert ("partial-duality-connectivity", "SKIP",
             "every sampled A leaves more than 16 edges outside it") in results
-    sweeps = []
-    sweep = checks_mod._sweep
-    monkeypatch.setattr(checks_mod, "_sweep",
-                        lambda g, rest, *args: sweeps.append(rest) or sweep(g, rest, *args))
+    sweeps = recorded_sweeps(monkeypatch)
     emb = EmbeddedGraph(random_graph(5, 24, Fraction(3, 10), seed=8))
     connectivity = dict(checks_mod.CHECKS)["partial-duality-connectivity"]
     assert connectivity(emb, emb.cellulation.edge_labels) == ("PASS", "")
+    assert sweeps == []
+    same_classes = checks_mod._same_classes
+    monkeypatch.setattr(checks_mod, "_same_classes", lambda *args: False)
+    assert connectivity(emb, emb.cellulation.edge_labels) == ("PASS", "")
     assert len(sweeps) == 15 and max(rest.bit_count() for rest in sweeps) <= 16
+    # a partial dual on one edge too many: on five vertices each A that
+    # it shifts spans G in one class, so the classes still match and the
+    # certificate rightly holds; on 14 vertices some A's fail it and are
+    # swept, within 16 free edges
+    sweeps.clear()
+    monkeypatch.setattr(checks_mod, "_same_classes", same_classes)
+    monkeypatch.setattr(RibbonGraph, "partial_dual",
+                        shifted_partial_dual(RibbonGraph.partial_dual))
+    emb = EmbeddedGraph(random_graph(14, 24, Fraction(3, 10), seed=8))
+    connectivity(emb, emb.cellulation.edge_labels)
+    assert sweeps and max(rest.bit_count() for rest in sweeps) <= 16
 
 
 def test_check_compares_partial_duals_at_16_edges(tmp_path, capsys):
