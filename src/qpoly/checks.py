@@ -11,8 +11,7 @@ identities, partial-dual-composition and partial-duality-connectivity,
 keep their sample sizes in their bodies, and sample deterministically.
 The per-subset identities read c, bc, s and n off
 RibbonGraph.subgraph_profile() of G and of G*, each computed once per
-battery by ribbon._sweep, the engine of the brute-force sums up to eight
-marked edges.
+battery by ribbon._sweep.
 partial-duality-connectivity first certifies each A in one linear
 pass (_same_classes): the classes of A in G^A, by a union-find of its
 A-edges, must match those of A in G one to one, the G^A vertex of each

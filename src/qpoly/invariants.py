@@ -10,11 +10,22 @@ Each oracle is one tally of (|F|, c_G(F), c_G*(E-F), bc_G(F)) over the
 submasks F of the marked edges, mapped to doubled exponent vectors, and
 builds its polynomial once.  Two engines count the tally: the subset
 sweep ribbon._sweep up to _FRONTIER_ABOVE = 8 marked edges, and above
-that the frontier program ribbon._frontier, which merges the subsets of
-equal frontier state and so reaches past e = 30.  It decides the edges
-in _narrowest_first order, each step taking the edge that leaves the
-fewest frontier vertices and open corners.  The
-Krushkal sum reads all four counts: the regular neighbourhoods of F in G
+that _frontier, a frontier dynamic program after Sekine, Imai and Tani
+("Computing the Tutte polynomial of a graph of moderate size", ISAAC
+1995) that reaches past e = 30.  It decides the marked edges in
+_narrowest_first order, each step taking the edge that leaves the
+fewest frontier vertices and open corners, and keeps, per state, the
+counts of the subsets of the decided edges that reach it.  A state is
+the class labels of the frontier vertices of G and of G* (where the
+unmarked edges are joined first), and those of the frontier corners,
+where a class is one open path of the corner walk; each of the three
+parts changes by _move, which joins pairs of positions and counts the
+unions and the pairs already one class (a closed circle).  Its cost
+follows the number of states, which the frontier's width bounds, not
+2^e.  _tally builds the corner pairing (_partners) of a RibbonGraph
+once, for the order and the program.
+
+The Krushkal sum reads all four counts: the regular neighbourhoods of F in G
 and of E-F in G* share one boundary, so bc_G*(E-F) = bc_G(F), and s(F)
 and s_perp(F) both follow.  The Las Vergnas sum takes r(F) = v - c_G(F) and
 rb(F) = |F| - c_G*(E-F) + c_G*(E), tallies X^(r(E)-r(F)) Y^(|F|-rb(F))
@@ -36,10 +47,9 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .graphs import MultiGraph
+from .graphs import MultiGraph, _join
 from .laurent import LaurentPoly
-from .ribbon import (EmbeddedGraph, RibbonError, RibbonGraph, _frontier,
-                     _iter_bits, _partners, _sweep)
+from .ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _iter_bits, _sweep
 
 __all__ = [
     "PolyKind",
@@ -68,7 +78,7 @@ def _submasks(mask):
         sub = (sub - 1) & mask
 
 
-# _tally counts by ribbon._frontier above this many marked edges and by
+# _tally counts by _frontier above this many marked edges and by
 # ribbon._sweep up to it.  The crossover: on 21 random_graph draws per
 # edge count (twist 3/10; the Krushkal, Bollobas-Riordan and Tutte
 # tallies of each), the sweep took 0.57 times the frontier's time, its
@@ -77,13 +87,29 @@ def _submasks(mask):
 _FRONTIER_ABOVE = 8
 
 
-def _narrowest_first(g, marked):
+def _partners(g, marked):
+    """{corner: partner} over the corners of the marked edges of a
+    RibbonGraph g.  With the unmarked edges along their attachment
+    intervals, each such corner has a fixed partner: the corner its disc
+    arc reaches past the intervals.  The pairing is an involution."""
+    arc, partner = g._arc, {}
+    for ei in _iter_bits(marked):
+        for c in range(4 * ei, 4 * ei + 4):
+            if c not in partner:
+                p = arc[c]
+                while not marked >> (p >> 2) & 1:
+                    p = arc[p ^ 1]
+                partner[c], partner[p] = p, c
+    return partner
+
+
+def _narrowest_first(g, marked, partner):
     """The marked edges in the order _frontier decides them: each step
     takes the undecided edge that leaves the fewest frontier items, the
     lowest index among equals.  The items are the vertices of g with both
-    decided and undecided edges and, when g is a RibbonGraph, the open
-    corners: those of the undecided edges whose partner (ribbon._partners)
-    is on a decided edge.
+    decided and undecided edges and, unless partner is None (a
+    MultiGraph), the open corners: those of the undecided edges whose
+    partner, the _partners entry, is on a decided edge.
 
     score[e] is the change in the item count if e goes next.  Its corner
     part is the number of corners of other undecided edges partnered on e
@@ -103,9 +129,7 @@ def _narrowest_first(g, marked):
         if len(edges) > 1:
             for f in edges:
                 score[f] += 1
-    ribbon = isinstance(g, RibbonGraph)
-    if ribbon:
-        partner = _partners(g, marked)
+    if partner is not None:
         for c, p in partner.items():
             if c >> 2 != p >> 2:
                 score[p >> 2] += 1
@@ -115,7 +139,7 @@ def _narrowest_first(g, marked):
         ei = min(score, key=score.__getitem__)
         del score[ei]
         order.append(ei)
-        if ribbon:
+        if partner is not None:
             for c in range(4 * ei, 4 * ei + 4):
                 f = partner[c] >> 2
                 if f in score:
@@ -133,13 +157,165 @@ def _narrowest_first(g, marked):
     return order
 
 
+class _Moves(dict):
+    """One part's moves at one step of _frontier, memoised by its state:
+    state -> (state with the edge left out, its key shift, state with it
+    taken in, its key shift)."""
+
+    __slots__ = ("move",)
+
+    def __init__(self, move):
+        self.move = move
+
+    def __missing__(self, state):
+        moves = self[state] = self.move(state)
+        return moves
+
+
+# a part that no step changes: G* without d, the corners of a MultiGraph
+_STILL = {(): ((), 0, (), 0)}
+
+
+def _move(fresh, keep, out, into, union, closure):
+    """A part's move: the state labels the classes of its frontier, the
+    items entering it at this step are appended with labels len(state) +
+    fresh, and each branch (out: the edge left out, into: taken in) joins
+    the pairs of positions it lists, shifting the key by union where two
+    classes merge and by closure where a pair is one class already; then
+    the positions in keep stay, their labels renumbered by first
+    occurrence."""
+    def move(state):
+        n = len(state)
+        labels = [*state, *[n + f for f in fresh]]
+        moves = ()
+        for pairs in (out, into):
+            joined, shift = labels, 0
+            for a, b in pairs:
+                la, lb = joined[a], joined[b]
+                if la == lb:
+                    shift += closure
+                else:
+                    shift += union
+                    joined = [la if x == lb else x for x in joined]
+            first = {}
+            moves += (tuple([first.setdefault(joined[j], len(first))
+                             for j in keep]), shift)
+        return moves
+    return move
+
+
+def _vertex_moves(ends, joined_in, shift):
+    """The moves of a graph's vertex classes when step i decides the edge
+    with ends[i]: its ends are joined when it is taken in (joined_in) or
+    left out.  A vertex is on the frontier from its first step to its
+    last."""
+    last = {v: i for i, pair in enumerate(ends) for v in pair}
+    steps, front = [], []
+    for i, pair in enumerate(ends):
+        enter = [v for v in dict.fromkeys(pair) if v not in front]
+        work = front + enter
+        join = [tuple(map(work.index, pair))]
+        keep = [j for j, v in enumerate(work) if last[v] > i]
+        out, into = ((), join) if joined_in else (join, ())
+        steps.append(_Moves(_move(range(len(enter)), keep, out, into,
+                                  shift, 0)))
+        front = [work[j] for j in keep]
+    return steps
+
+
+def _corner_moves(g, order, partner):
+    """The moves of the corner walk's open paths, each corner of a marked
+    edge paired with its entry in partner, the pairing of _partners.
+    Before step i the frontier holds the corners of the undecided edges
+    whose partner is decided, and a path's class its two ends.  A step
+    brings in each corner of its edge not on the frontier, with its
+    partner, as one class, joins its corners by their intervals or their
+    ribbon sides, and counts each pair already one class as a closed
+    circle."""
+    sides = g._sides
+    steps, front = [], []
+    for ei in order:
+        c = 4 * ei
+        enter = {}
+        for x in range(c, c + 4):
+            if x not in front and x not in enter:
+                enter[x] = enter[partner[x]] = len(enter) // 2
+        work = front + list(enter)
+        s = sides[ei]
+        out, into = ((c, c + 1), (c + 2, c + 3)), ((c, s[0]), (c + 1, s[1]))
+        keep = [j for j, x in enumerate(work) if x >> 2 != ei]
+        steps.append(_Moves(_move(
+            tuple(enter.values()), keep,
+            [tuple(map(work.index, pair)) for pair in out],
+            [tuple(map(work.index, pair)) for pair in into], 0, 1 << 24)))
+        front = [work[j] for j in keep]
+    return steps
+
+
+def _frontier(g, marked, d, order, partner):
+    """{(|F|, c_g(F), c_d(E-F), bc_g(F)): count} over the submasks F of
+    marked, as _sweep's leaves tally them, with order listing the marked
+    edges and partner the corner pairing of _partners, or None for a
+    MultiGraph g, which has no corner walk.
+
+    Each state of the frontier program (module docstring) keeps {packed
+    (|F|, unions in G, unions in G*, closed circles): count}; a step
+    looks up the three parts' moves, memoised apart, and shifts the
+    packed keys of each branch by one constant.  Each field stays below
+    2^8, as a graph has at most 64 edges.  bc(F) is bc(empty) = v(G),
+    less the circles closed at F = empty, plus those closed at F.  Reads
+    the fields that _sweep reads, and _sides of a RibbonGraph g."""
+    still = [_STILL] * len(order)
+    g_moves = _vertex_moves([g._ends[ei] for ei in order], True, 1 << 8)
+    d_moves, c_moves, c_d = still, still, 0
+    if d is not None:
+        root = list(range(d.n_vertices))
+        c_d = d.n_vertices - sum(_join(root, d._ends[ei]) >= 0
+                                 for ei in _iter_bits(g.full_mask ^ marked))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+        ends = [tuple(map(find, d._ends[ei])) for ei in order]
+        d_moves = _vertex_moves(ends, False, 1 << 16)
+    if partner is not None:
+        c_moves = _corner_moves(g, order, partner)
+    states = {((), (), ()): {0: 1}}
+    for gm, dm, cm in zip(g_moves, d_moves, c_moves):
+        nxt = {}
+        for (sg, sd, sc), acc in states.items():
+            g_out, g_o, g_in, g_i = gm[sg]
+            d_out, d_o, d_in, d_i = dm[sd]
+            c_out, c_o, c_in, c_i = cm[sc]
+            for state, shift in (((g_out, d_out, c_out), g_o + d_o + c_o),
+                                 ((g_in, d_in, c_in), 1 + g_i + d_i + c_i)):
+                merged = nxt.get(state)
+                if merged is None:
+                    nxt[state] = {key + shift: n for key, n in acc.items()}
+                else:
+                    for key, n in acc.items():
+                        key += shift
+                        merged[key] = merged.get(key, 0) + n
+        states = nxt
+    tally = states[(), (), ()]
+    nv = g.n_vertices
+    empty = next(key for key in tally if not key & 255)
+    bc = nv - (empty >> 24) if partner is not None else 0
+    return {(key & 255, nv - (key >> 8 & 255), c_d - (key >> 16 & 255),
+             bc + (key >> 24)): n for key, n in tally.items()}
+
+
 def _tally(g, marked, d=None):
     """{(|F|, c_g(F), c_d(E-F), bc_g(F)): count} over the submasks F of
-    marked, with the same g and d: from ribbon._frontier, in
-    _narrowest_first order, above _FRONTIER_ABOVE marked edges, else from
-    the leaves of ribbon._sweep."""
+    marked, with the same g and d: from _frontier, in _narrowest_first
+    order, above _FRONTIER_ABOVE marked edges, the two sharing the one
+    corner pairing of a RibbonGraph g; else from the leaves of
+    ribbon._sweep."""
     if marked.bit_count() > _FRONTIER_ABOVE:
-        return _frontier(g, marked, d, _narrowest_first(g, marked))
+        partner = _partners(g, marked) if isinstance(g, RibbonGraph) else None
+        return _frontier(g, marked, d, _narrowest_first(g, marked, partner),
+                         partner)
     acc = {}
 
     def leaf(f, *key):

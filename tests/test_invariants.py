@@ -16,12 +16,12 @@ from qpoly.invariants import (
     tutte,
 )
 from qpoly import invariants as invariants_mod
-from qpoly.invariants import _FRONTIER_ABOVE, _narrowest_first, _submasks, _tally
+from qpoly.invariants import (_FRONTIER_ABOVE, _frontier, _narrowest_first,
+                               _partners, _submasks, _tally)
 from qpoly.laurent import LaurentPoly, parse_poly
 from qpoly.matroid import bond_matroid, cycle_matroid
 from qpoly.quasitrees import quasi_tree_masks
-from qpoly.ribbon import (EmbeddedGraph, RibbonError, RibbonGraph, _frontier,
-                          _partners, _sweep)
+from qpoly.ribbon import EmbeddedGraph, RibbonError, RibbonGraph, _sweep
 from qpoly.textio import random_graph
 
 from fixture_graphs import (
@@ -407,7 +407,7 @@ def test_sweep_leaves_in_call_order_match_per_mask_counts():
 
 
 def sweep_tally(g, marked, d=None):
-    """The tally of _sweep's leaves: the reference for ribbon._frontier."""
+    """The tally of _sweep's leaves: the reference for invariants._frontier."""
     acc = {}
 
     def leaf(f, *key):
@@ -415,6 +415,12 @@ def sweep_tally(g, marked, d=None):
 
     _sweep(g, marked, d, leaf)
     return acc
+
+
+def pairing(g, marked):
+    """The corner pairing that _tally hands the order and the frontier
+    program: None for a MultiGraph."""
+    return _partners(g, marked) if isinstance(g, RibbonGraph) else None
 
 
 def marked_edges(marked, rng=None):
@@ -440,10 +446,11 @@ def test_frontier_matches_the_sweep():
             for h in (g, g.underlying_graph()):
                 for dual in (None, d):
                     want = sweep_tally(h, marked, dual)
-                    for order in (_narrowest_first(h, marked),
+                    partner = pairing(h, marked)
+                    for order in (_narrowest_first(h, marked, partner),
                                   marked_edges(marked, rng)):
-                        assert _frontier(h, marked, dual, order) == want, \
-                            (g, h, marked, dual, order)
+                        assert _frontier(h, marked, dual, order, partner) \
+                            == want, (g, h, marked, dual, order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -454,28 +461,42 @@ def test_frontier_does_not_depend_on_the_order(v, extra, twist, seed, rng):
     marked = rng.randrange(g.full_mask + 1)
     d = g.dual()
     for h in (g, g.underlying_graph()):
-        assert _frontier(h, marked, d, marked_edges(marked, rng)) \
+        assert _frontier(h, marked, d, marked_edges(marked, rng),
+                         pairing(h, marked)) \
             == sweep_tally(h, marked, d), (g, h, marked)
 
 
 @pytest.mark.parametrize("n_marked", [8, 9, 10, 11])
 def test_tally_takes_the_frontier_above_the_cutoff(monkeypatch, n_marked):
-    calls = []
+    # above the cutoff each tally runs the frontier program once, and the
+    # order and the program share one corner pairing on a RibbonGraph,
+    # built once, where a MultiGraph has none
+    calls, paired = [], []
 
     def counted(*args):
         calls.append(args)
         return _frontier(*args)
 
+    def counted_partners(*args):
+        paired.append(args)
+        return _partners(*args)
+
     monkeypatch.setattr(invariants_mod, "_frontier", counted)
+    monkeypatch.setattr(invariants_mod, "_partners", counted_partners)
     g = random_graph(4, 12, Fraction(3, 10), seed=n_marked)
     d = g.dual()
     marked = sum(1 << ei for ei in random.Random(n_marked).sample(range(12), n_marked))
+    above = n_marked > _FRONTIER_ABOVE
     for h in (g, g.underlying_graph()):
         for dual in (None, d):
+            paired.clear()
             assert _tally(h, marked, dual) == sweep_tally(h, marked, dual)
-    assert len(calls) == (4 if n_marked > _FRONTIER_ABOVE else 0)
-    assert all(order == _narrowest_first(h, marked)
-               for h, _, _, order in calls)
+            assert len(paired) == (above and isinstance(h, RibbonGraph)), \
+                (h, dual, paired)
+    assert len(calls) == (4 if above else 0)
+    assert all(partner == pairing(h, marked)
+               and order == _narrowest_first(h, marked, partner)
+               for h, _, _, order, partner in calls)
 
 
 # ----------------------------------------------------------------------
@@ -516,7 +537,8 @@ def test_narrowest_first_is_a_permutation_of_the_marked_edges():
              (g.underlying_graph(), g.full_mask),
              (th().underlying_graph(), th().full_mask)]
     for h, marked in cases:
-        assert sorted(_narrowest_first(h, marked)) == marked_edges(marked), (h, marked)
+        assert sorted(_narrowest_first(h, marked, pairing(h, marked))) \
+            == marked_edges(marked), (h, marked)
 
 
 def test_narrowest_first_matches_its_definition():
@@ -527,7 +549,7 @@ def test_narrowest_first_matches_its_definition():
     for g in graphs:
         for marked in markings(g, rng):
             for h in (g, g.underlying_graph()):
-                assert _narrowest_first(h, marked) \
+                assert _narrowest_first(h, marked, pairing(h, marked)) \
                     == narrowest_by_definition(h, marked), (h, marked)
 
 
@@ -541,7 +563,8 @@ def test_narrowest_first_on_one_vertex():
     g = RibbonGraph([("v", ("a1", "b1", "a2", "c1", "c2", "b2"))],
                     [("e1", ("a1", "a2"), "+"), ("e2", ("b1", "b2"), "+"),
                      ("e3", ("c1", "c2"), "+")])
-    assert _narrowest_first(g, g.full_mask) == [2, 0, 1]
+    assert _narrowest_first(g, g.full_mask, pairing(g, g.full_mask)) \
+        == [2, 0, 1]
     assert [frontier_width(g, g.full_mask, decided)
             for decided in ({2}, {0}, {1}, {2, 0}, {2, 1})] == [3, 5, 5, 5, 5]
 
@@ -554,3 +577,20 @@ def test_tally_matches_the_sweep_where_breadth_first_lost(v, e, seed):
     g = random_graph(v, e, Fraction(3, 10), seed=seed)
     for h, d in ((g, g.dual()), (g, None), (g.underlying_graph(), None)):
         assert _tally(h, g.full_mask, d) == sweep_tally(h, g.full_mask, d)
+
+
+@pytest.mark.parametrize("twist", [Fraction(0), Fraction(3, 10)])
+def test_frontier_at_the_edge_cap(twist):
+    # a plane tree with 64 edges and its dual, a bouquet of 64 loops on one
+    # vertex: |F| and the unions of G reach 64 on the tree, the unions of
+    # G* on the dual, the most that the 8-bit fields of _frontier's packed
+    # keys must hold
+    tree = random_graph(65, 64, twist, seed=1)
+    dual = tree.dual()
+    assert (tree.n_vertices, tree.n_edges, dual.n_vertices) == (65, 64, 1)
+    x1 = LaurentPoly.variable("X") + 1
+    y1 = LaurentPoly.variable("Y") + 1
+    assert krushkal(tree) == x1 ** 64
+    assert krushkal(dual) == y1 ** 64
+    assert tutte(tree.underlying_graph()) == bollobas_riordan(tree) == x1 ** 64
+    assert bollobas_riordan(dual) == y1 ** 64
